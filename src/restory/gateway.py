@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import random
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -175,9 +176,17 @@ class HttpProvider:
             raise ProviderRejectedError(f"provider rejected request: {resp.status_code} {resp.text[:200]}")
         try:
             body = resp.json()
-            text = body["text"] if "text" in body else body["output"]
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ProviderRejectedError(f"malformed provider response: {exc}") from exc
+        if not isinstance(body, dict):
+            raise ProviderRejectedError(
+                f"malformed provider response: expected a JSON object, got {type(body).__name__}"
+            )
+        text = body["text"] if "text" in body else body.get("output")
+        if not isinstance(text, str):
+            raise ProviderRejectedError(
+                f"malformed provider response: text is {type(text).__name__}, not a string"
+            )
         return ProviderResponse(
             text=text,
             input_tokens=body.get("input_tokens"),
@@ -309,21 +318,28 @@ class Gateway:
         path = self._cache_path(key)
         if path is None or not path.exists():
             return None
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        return CompletionResult(**obj)
+        try:
+            return CompletionResult(**json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError) as exc:
+            # A miss: the provider's result overwrites the damaged entry.
+            logger.warning("ignoring damaged cache entry %s: %s", path, exc)
+            return None
 
     def _cache_store(self, key: str, result: CompletionResult) -> None:
         path = self._cache_path(key)
         if path is None:
             return
-        with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(result.__dict__, sort_keys=True, ensure_ascii=False),
-                encoding="utf-8",
-            )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # A temporary file of its own per writer, so that writers of the same
+        # key in a shared cache dir never write into each other's file.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(result.__dict__, sort_keys=True, ensure_ascii=False))
             os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- completion ----------------------------------------------------
 

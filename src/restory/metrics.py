@@ -16,6 +16,7 @@ import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -116,6 +117,11 @@ _STEP4 = [
 ]
 
 
+# Story vocabularies are small, so most calls repeat a word already stemmed.
+_STEM_MEMO_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_STEM_MEMO_SIZE)
 def porter_stem(word: str) -> str:
     w = word.lower()
     if len(w) <= 2:
@@ -296,18 +302,25 @@ def bleu(
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of a token's match mask is set where b[j] is that token. After
+    each token of `a`, the zero bits of `v` (one bit per position of `b`)
+    count the LCS of the prefix of `a` read so far against `b`; one integer
+    addition updates every position at once.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        u = v & masks.get(tok, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(
@@ -378,8 +391,9 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
 # ---------------------------------------------------------------------------
 # Embedding providers
 #
-# Contract: `provider_id` string plus `embed(text) -> EmbeddedText`,
-# deterministic in the text. The hash-seeded provider gives hermetic,
+# Contract: `provider_id` string, `embed_tokens(tokens) -> EmbeddedText` and
+# `embed(text) -> EmbeddedText`, equal to `embed_tokens(tokenize(text))`,
+# both deterministic in their input. The hash-seeded provider gives hermetic,
 # repeatable vectors; the one-hot provider gives exactly-orthogonal ones.
 
 
@@ -406,7 +420,10 @@ class HashEmbedder:
         return vec
 
     def embed(self, text: str) -> EmbeddedText:
-        tokens = tuple(tokenize(text))
+        return self.embed_tokens(tokenize(text))
+
+    def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
+        tokens = tuple(tokens)
         if tokens:
             vectors = np.stack([self._vector(t) for t in tokens])
         else:
@@ -427,7 +444,10 @@ class OneHotEmbedder:
         self.provider_id = f"one-hot-{self.dim}"
 
     def embed(self, text: str) -> EmbeddedText:
-        tokens = tuple(tokenize(text))
+        return self.embed_tokens(tokenize(text))
+
+    def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
+        tokens = tuple(tokens)
         vectors = np.zeros((len(tokens), self.dim))
         for row, tok in enumerate(tokens):
             try:

@@ -18,6 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +52,7 @@ class EmptySnippetError(DataError):
     pass
 
 
+@cache  # bundled templates are immutable; read each file once per process
 def _data_text(name: str) -> str:
     return (resources.files("restory") / "data" / "templates" / name).read_text(encoding="utf-8")
 
@@ -156,6 +158,9 @@ class RenderedPrompt:
 
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
+# Runs of three or more newlines. Spelled with a literal prefix rather than
+# `\n{3,}` so that `re` can skip ahead to candidate matches quickly.
+_BLANK_RUN_RE = re.compile(r"\n\n\n+")
 _KNOWN_PLACEHOLDERS = {"directive", "story_format_hint", "scot_block", "exemplars", "code"}
 
 
@@ -225,7 +230,7 @@ def render_prompt(
         "code": f"```{snippet.language_tag}\n{snippet.source_text.rstrip()}\n```",
     }
     text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], layout)
-    text = re.sub(r"\n{3,}", "\n\n", text).strip() + "\n"
+    text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
     if not text.startswith(config.directive):
         raise TemplateError("rendered prompt does not begin with the directive")
     return RenderedPrompt(

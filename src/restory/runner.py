@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import MAX_NLOC, STRATA, DatasetRecord
 from .errors import DataError
@@ -75,7 +75,7 @@ def score_pair(
             continue
         if name == GREEDY_METRIC:
             scores[name] = greedy_embedding_score(
-                embedder.embed(candidate_text), embedder.embed(reference_text)
+                embedder.embed_tokens(cand_tokens), embedder.embed_tokens(ref_tokens)
             )
         elif name == "bleu":
             v = bleu(cand_tokens, ref_tokens, smoothing=False)
@@ -185,16 +185,6 @@ class RunResult:
     failures: list[FailureRecord]
     total_cost_usd: float
     provider_calls: int
-
-
-def save_results(
-    records: Iterable[GenerationRecord | FailureRecord], path: str | Path
-) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
 
 
 def load_results(path: str | Path) -> tuple[list[GenerationRecord], list[FailureRecord]]:

@@ -120,6 +120,33 @@ def test_cache_idempotence_under_concurrency(tmp_path):
     assert all(r.text == provider.text for r in results)
 
 
+@pytest.mark.parametrize("damage", ['{"text": "trunc', "[1, 2]"], ids=["truncated", "list"])
+def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, caplog, damage):
+    provider = CountingProvider("fixed answer")
+    _gateway(provider, tmp_path).complete("describe this")
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_text(damage, encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="restory.gateway"):
+        result = _gateway(provider, tmp_path).complete("describe this")
+    assert provider.calls == 2
+    assert result.cached is False and result.text == "fixed answer"
+    assert any(str(entry) in r.getMessage() for r in caplog.records)
+    again = _gateway(provider, tmp_path).complete("describe this")
+    assert again.cached is True and provider.calls == 2
+
+
+def test_cache_store_leaves_another_writers_tmp_file_alone(tmp_path):
+    gateway = _gateway(CountingProvider("fixed answer"), tmp_path)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    key = gateway._cache_key("describe this")
+    foreign = cache / f"{key}.tmp"
+    foreign.write_text("half written by another process", encoding="utf-8")
+    gateway.complete("describe this")
+    assert foreign.read_text(encoding="utf-8") == "half written by another process"
+    assert sorted(p.name for p in cache.iterdir()) == sorted([foreign.name, f"{key}.json"])
+
+
 def test_completion_cost_matches_estimate(tmp_path):
     gateway = _gateway(CountingProvider("some text" * 10), tmp_path)
     result = gateway.complete(render_prompt(default_prompt_config("zero"), make_snippet("s", 4)))
@@ -308,6 +335,16 @@ def test_http_provider_rejects_4xx_and_malformed(monkeypatch):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
     monkeypatch.setattr(gw.requests, "post", lambda *a, **k: _FakeResponse(200, {"nope": 1}))
     with pytest.raises(ProviderRejectedError):
+        gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
+
+
+@pytest.mark.parametrize("body", [["a story"], "a story", {"text": 5}],
+                         ids=["list", "string", "non-string-text"])
+def test_http_provider_rejects_malformed_bodies(monkeypatch, body):
+    from restory import gateway as gw
+
+    monkeypatch.setattr(gw.requests, "post", lambda *a, **k: _FakeResponse(200, body))
+    with pytest.raises(ProviderRejectedError, match="malformed provider response"):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
 
 

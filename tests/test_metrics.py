@@ -84,6 +84,14 @@ def test_porter_stem_groups_inflections():
     assert porter_stem("organize") == porter_stem("organizes") == porter_stem("organized")
 
 
+@pytest.mark.parametrize("word", ["organizations", "Hopping", "relational", "ab", ""])
+def test_porter_stem_memo_is_transparent(word):
+    first = porter_stem(word)
+    hits = porter_stem.cache_info().hits
+    assert porter_stem(word) == first == porter_stem.__wrapped__(word)
+    assert porter_stem.cache_info().hits == hits + 1
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
@@ -180,6 +188,25 @@ def test_rouge_matches_oracle(candidate, reference):
     assert abs(got.precision - p) <= 1e-9
     assert abs(got.recall - r) <= 1e-9
     assert abs(got.f1 - f1) <= 1e-9
+
+
+def _word_lists(alphabet):
+    length = st.integers(min_value=0, max_value=150)
+    return length.flatmap(lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+
+
+_small_alphabet = st.integers(min_value=3, max_value=5).map(
+    lambda k: ["alpha", "beta", "gamma", "delta", "omega"][:k]
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_small_alphabet.flatmap(lambda a: st.tuples(_word_lists(a), _word_lists(a))))
+def test_bit_parallel_lcs_matches_oracle_on_long_repetitive_inputs(pair):
+    # Lengths up to 150 give match masks wider than one 64-bit word.
+    candidate, reference = pair
+    got = rouge_l(candidate, reference, use_stemming=False)
+    assert (got.precision, got.recall, got.f1) == oracle_rouge_l(candidate, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +325,22 @@ def test_hash_embedder_salt_changes_vectors():
     plain = HashEmbedder(dim=32).embed("word")
     salted = HashEmbedder(dim=32, salt=7).embed("word")
     assert not np.allclose(plain.vectors, salted.vectors)
+
+
+_EMBED_TEXTS = ["", "count the words", "As a user, I want (nested) output!", "a  b\tc\n..."]
+
+
+@pytest.mark.parametrize("text", _EMBED_TEXTS)
+@pytest.mark.parametrize("make", [
+    lambda: HashEmbedder(dim=16, salt=3),
+    lambda: OneHotEmbedder(sorted({t for text in _EMBED_TEXTS for t in tokenize(text)})),
+], ids=["hash", "one-hot"])
+def test_embed_tokens_equals_embed(make, text):
+    embedder = make()
+    from_tokens = embedder.embed_tokens(tokenize(text))
+    from_text = embedder.embed(text)
+    assert from_tokens.tokens == from_text.tokens == tuple(tokenize(text))
+    assert np.array_equal(from_tokens.vectors, from_text.vectors)
 
 
 def test_one_hot_embedder_rejects_unknown_token():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from restory.corpus import CodeSnippet
 from restory.errors import DataError
 from restory.prompts import (
     PROMPT_VARIANTS,
@@ -86,6 +87,16 @@ def test_rendering_is_deterministic():
     assert a.text == b.text
     assert a.config_fingerprint == b.config_fingerprint
     assert a.estimated_tokens == b.estimated_tokens
+
+
+@pytest.mark.parametrize("variant", sorted(PROMPT_VARIANTS))
+def test_blank_line_runs_in_code_collapse_to_one_blank_line(variant):
+    source = "int a = 1;\n\n\nint b = 2;\n\n\n\nint c = 3;\n\n\n\n\n\n\nint d = 4;\n"
+    config = _config(variant)
+    rendered = render_prompt(config, CodeSnippet.from_source("blank-runs", source),
+                             _exemplars(config.expected_exemplars))
+    assert "int a = 1;\n\nint b = 2;\n\nint c = 3;\n\nint d = 4;\n```" in rendered.text
+    assert "\n\n\n" not in rendered.text
 
 
 def test_token_envelope_small_zero_vs_large_few_scot():
