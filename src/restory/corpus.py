@@ -5,13 +5,14 @@ outside comments. The lexer recognizes `//` line comments, `/* */` block
 comments, and `"`/`'`-delimited literals (so comment markers inside string
 or character literals are not treated as comments). Exotic literal forms
 (raw strings, digit separators) are not specially handled; preprocessor
-lines count as code.
+lines count as code. `count_nloc` states the exact rules.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -53,8 +54,52 @@ class DatasetError(DataError):
     pass
 
 
+# The lexemes that hide code, matched leftmost first as the text is scanned:
+# `//` comments, `/* */` comments (group 1 is set only when the comment is
+# closed) and `"`/`'` literals. In a literal a backslash escapes any
+# character, a newline included; an unescaped newline or the end of the text
+# ends an unclosed literal.
+_LEXEME = re.compile(
+    r"//[^\n]*"
+    r"|/\*(?:[\s\S]*?(\*/)|[\s\S]*)"
+    r'|"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?'
+    r"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?"
+)
+
+
+def _blank_lexeme(match: re.Match) -> str:
+    """Replace a comment or literal by what it leaves on each of its lines.
+
+    A comment leaves only its newlines. A literal leaves a code mark on
+    every line it touches: one mark and newline per backslash-newline, and
+    a last mark unless the literal ends right after such a newline.
+    """
+    text = match.group()
+    if text[0] != "/":
+        return "x\n" * text.count("\n") + ("" if text[-1] == "\n" else "x")
+    if text[1] == "/":
+        return ""
+    if match.group(1) is None:
+        raise UnterminatedCommentError(match.string.count("\n", 0, match.start()) + 1)
+    return "\n" * text.count("\n")
+
+
 def count_nloc(source: str, language_tag: str = "cpp") -> int:
     """Count non-blank, non-comment lines in `source`.
+
+    Lines are split on `\\n` only. A line counts when it holds a character
+    that is not whitespace (`str.isspace`, so `\\r` and Unicode spaces are
+    blank) outside comments, or any part of a literal. The lexing rules:
+
+    - `//` hides the rest of its line; `/*` hides everything up to the
+      first `*/` after it, so `/*/` does not close.
+    - `"` and `'` open a literal that ends at the matching quote, at an
+      unescaped newline, or at the end of the text. A backslash escapes
+      the next character, and a backslash-newline continues the literal
+      onto the next line. Every line that holds part of a literal counts,
+      the backslash of a continuation included. Comment markers and the
+      other quote are inert inside a literal; a digit separator such as
+      `1'000` opens a literal.
 
     Raises NoCodeError when no line holds code, UnterminatedCommentError
     (with the start line) for an unclosed block comment, and
@@ -62,82 +107,8 @@ def count_nloc(source: str, language_tag: str = "cpp") -> int:
     """
     if language_tag not in SUPPORTED_LANGUAGES:
         raise UnsupportedLanguageError(f"unsupported language tag: {language_tag!r}")
-
-    count = 0
-    line = 1
-    i = 0
-    n = len(source)
-    in_block = False
-    block_start = 0
-    in_string = False
-    in_char = False
-    line_has_code = False
-
-    while i < n:
-        c = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-
-        if c == "\n":
-            if line_has_code:
-                count += 1
-            line_has_code = False
-            in_string = False  # plain literals cannot span lines
-            in_char = False
-            line += 1
-            i += 1
-            continue
-
-        if in_block:
-            if c == "*" and nxt == "/":
-                in_block = False
-                i += 2
-            else:
-                i += 1
-            continue
-
-        if in_string or in_char:
-            line_has_code = True
-            if c == "\\":
-                if nxt == "\n":  # line continuation inside a literal
-                    count += 1
-                    line_has_code = False
-                    line += 1
-                i += 2
-                continue
-            if in_string and c == '"':
-                in_string = False
-            elif in_char and c == "'":
-                in_char = False
-            i += 1
-            continue
-
-        if c == "/" and nxt == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c == "/" and nxt == "*":
-            in_block = True
-            block_start = line
-            i += 2
-            continue
-        if c == '"':
-            in_string = True
-            line_has_code = True
-            i += 1
-            continue
-        if c == "'":
-            in_char = True
-            line_has_code = True
-            i += 1
-            continue
-        if not c.isspace():
-            line_has_code = True
-        i += 1
-
-    if in_block:
-        raise UnterminatedCommentError(block_start)
-    if line_has_code:
-        count += 1
+    blanked = _LEXEME.sub(_blank_lexeme, source)
+    count = sum(1 for line in blanked.split("\n") if line and not line.isspace())
     if count == 0:
         raise NoCodeError("no code lines")
     return count

@@ -24,7 +24,7 @@ import random
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -131,6 +131,13 @@ class CompletionResult:
     tokens_estimated: bool = False
 
 
+# What a cache entry must hold per field; bool never passes for a number.
+_CACHED_FIELD_TYPES = tuple(
+    (f.name, {"str": str, "int": int, "float": (int, float), "bool": bool}[f.type])
+    for f in fields(CompletionResult)
+)
+
+
 @dataclass(frozen=True)
 class ProviderResponse:
     text: str
@@ -187,11 +194,13 @@ class HttpProvider:
             raise ProviderRejectedError(
                 f"malformed provider response: text is {type(text).__name__}, not a string"
             )
-        return ProviderResponse(
-            text=text,
-            input_tokens=body.get("input_tokens"),
-            output_tokens=body.get("output_tokens"),
-        )
+        usage = {name: body.get(name) for name in ("input_tokens", "output_tokens")}
+        for name, count in usage.items():
+            if count is not None and (type(count) is not int or count < 0):
+                raise ProviderRejectedError(
+                    f"malformed provider response: {name} is {count!r}, not a non-negative int"
+                )
+        return ProviderResponse(text=text, **usage)
 
 
 class StaticProvider:
@@ -319,7 +328,12 @@ class Gateway:
         if path is None or not path.exists():
             return None
         try:
-            return CompletionResult(**json.loads(path.read_text(encoding="utf-8")))
+            result = CompletionResult(**json.loads(path.read_text(encoding="utf-8")))
+            for name, kind in _CACHED_FIELD_TYPES:
+                value = getattr(result, name)
+                if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+                    raise TypeError(f"{name} is {type(value).__name__}")
+            return result
         except (ValueError, TypeError) as exc:
             # A miss: the provider's result overwrites the damaged entry.
             logger.warning("ignoring damaged cache entry %s: %s", path, exc)

@@ -1,9 +1,10 @@
-"""Independent brute-force reference implementations for metric tests.
+"""Independent brute-force reference implementations for metric and lexer tests.
 
 Deliberately naive and structurally different from the library code:
 n-grams are counted with list.count over tuple slices, the geometric mean
-uses per-factor roots instead of log sums, and the LCS is a memoized
-recursion instead of a DP table.
+uses per-factor roots instead of log sums, the LCS is a memoized
+recursion instead of a DP table, and NLOC is counted by a per-character
+state machine instead of one regular expression.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Sequence
+
+from restory.corpus import (
+    SUPPORTED_LANGUAGES,
+    NoCodeError,
+    UnsupportedLanguageError,
+    UnterminatedCommentError,
+)
 
 
 def oracle_bleu(
@@ -76,3 +84,90 @@ def oracle_bag_max_match(candidate_tokens, reference_tokens) -> tuple[float, flo
     r = sum(1.0 for t in reference_tokens if t in cand_set) / len(reference_tokens)
     f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return (p, r, f1)
+
+
+def oracle_count_nloc(source: str, language_tag: str = "cpp") -> int:
+    """The per-character state machine that `count_nloc` ran before its
+    regular-expression scanner, unchanged: the reference for its counts and
+    errors."""
+    if language_tag not in SUPPORTED_LANGUAGES:
+        raise UnsupportedLanguageError(f"unsupported language tag: {language_tag!r}")
+
+    count = 0
+    line = 1
+    i = 0
+    n = len(source)
+    in_block = False
+    block_start = 0
+    in_string = False
+    in_char = False
+    line_has_code = False
+
+    while i < n:
+        c = source[i]
+        nxt = source[i + 1] if i + 1 < n else ""
+
+        if c == "\n":
+            if line_has_code:
+                count += 1
+            line_has_code = False
+            in_string = False  # plain literals cannot span lines
+            in_char = False
+            line += 1
+            i += 1
+            continue
+
+        if in_block:
+            if c == "*" and nxt == "/":
+                in_block = False
+                i += 2
+            else:
+                i += 1
+            continue
+
+        if in_string or in_char:
+            line_has_code = True
+            if c == "\\":
+                if nxt == "\n":  # line continuation inside a literal
+                    count += 1
+                    line_has_code = False
+                    line += 1
+                i += 2
+                continue
+            if in_string and c == '"':
+                in_string = False
+            elif in_char and c == "'":
+                in_char = False
+            i += 1
+            continue
+
+        if c == "/" and nxt == "/":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if c == "/" and nxt == "*":
+            in_block = True
+            block_start = line
+            i += 2
+            continue
+        if c == '"':
+            in_string = True
+            line_has_code = True
+            i += 1
+            continue
+        if c == "'":
+            in_char = True
+            line_has_code = True
+            i += 1
+            continue
+        if not c.isspace():
+            line_has_code = True
+        i += 1
+
+    if in_block:
+        raise UnterminatedCommentError(block_start)
+    if line_has_code:
+        count += 1
+    if count == 0:
+        raise NoCodeError("no code lines")
+    return count

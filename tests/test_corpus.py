@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from restory.corpus import (
     MAX_NLOC,
@@ -21,6 +21,7 @@ from restory.corpus import (
 from restory.errors import DataError
 
 from conftest import make_cpp_source, make_dataset, make_snippet
+from oracles import oracle_count_nloc
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,39 @@ def test_generated_source_has_requested_nloc():
         assert count_nloc(make_cpp_source(n)) == n
 
 
+def test_backslash_newline_in_literal_counts_both_lines():
+    assert count_nloc('s = "first \\\n// still the literal";\n') == 2
+    assert count_nloc("c = 'a\\\n//';\n") == 2
+
+
+def test_newline_cuts_off_an_unclosed_literal():
+    # The literal ends at the newline, so `/*` in it never opens a comment
+    # and the `//` on the next line is live again.
+    assert count_nloc('s = "/* open\nint x; // "\n') == 2
+
+
+def test_slash_star_slash_does_not_close():
+    with pytest.raises(UnterminatedCommentError) as exc_info:
+        count_nloc("int x;\n/*/ still open\nint y;\n")
+    assert exc_info.value.line == 2
+
+
+def test_crlf_line_endings():
+    assert count_nloc("int x;\r\n\r\n// note\r\nint y;\r\n") == 2
+
+
+def test_digit_separator_opens_a_char_literal():
+    assert count_nloc("int n = 1'000'000;\n") == 1
+    # The literal runs to the end of the line and hides the `/*` after it.
+    assert count_nloc("int n = 1'000; /* note\n*/\n") == 2
+
+
+def test_nbsp_only_line_is_blank():
+    assert count_nloc("int x;\n\xa0\nint y;\n") == 2
+    with pytest.raises(NoCodeError):
+        count_nloc("\xa0\n")
+
+
 # ---------------------------------------------------------------------------
 # count_nloc properties
 
@@ -114,6 +148,39 @@ def test_count_at_most_physical_lines_and_blank_strip_invariant(lines):
     assert n <= len(source.splitlines())
     stripped = "\n".join(l for l in lines if l.strip()) + "\n"
     assert count_nloc(stripped) == n
+
+
+@given(_safe_lines, st.sampled_from(["//", "/*", "*/", "/*/"]))
+def test_comment_markers_inside_literals_are_inert(lines, marker):
+    quoted = [
+        f"{l} s = \"{marker}\"; c = '{marker}';" if l and not l.startswith(("//", "/*")) else l
+        for l in lines
+    ]
+    assert count_nloc("\n".join(quoted) + "\n") == count_nloc("\n".join(lines) + "\n")
+
+
+def _outcome(count, source):
+    try:
+        return count(source)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# Single characters, plus the pairs that matter to the lexer so that they
+# turn up often.
+_lexer_text = st.lists(
+    st.sampled_from(
+        ["/", "*", '"', "'", "\\", "\n", "\r", "\t", " ", "\xa0", "\u2028", "\x1c", "a", ";"]
+        + ["//", "/*", "*/", "\\\n", "\\\\"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(_lexer_text)
+def test_count_nloc_matches_oracle(source):
+    assert _outcome(count_nloc, source) == _outcome(oracle_count_nloc, source)
 
 
 # ---------------------------------------------------------------------------

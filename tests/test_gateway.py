@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 
@@ -120,7 +121,19 @@ def test_cache_idempotence_under_concurrency(tmp_path):
     assert all(r.text == provider.text for r in results)
 
 
-@pytest.mark.parametrize("damage", ['{"text": "trunc', "[1, 2]"], ids=["truncated", "list"])
+_ENTRY = {"text": "t", "input_tokens": 1, "output_tokens": 1, "latency_ms": 0,
+          "cost_usd": 0.0, "cached": False, "retries": 0, "tokens_estimated": True}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ['{"text": "trunc', "[1, 2]"]
+    + [json.dumps({**_ENTRY, field: value})
+       for field, value in [("text", 5), ("input_tokens", "12"), ("output_tokens", True),
+                            ("cost_usd", None), ("cached", "no"), ("retries", 1.5)]],
+    ids=["truncated", "list", "text-int", "input-tokens-str", "output-tokens-bool",
+         "cost-null", "cached-str", "retries-float"],
+)
 def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, caplog, damage):
     provider = CountingProvider("fixed answer")
     _gateway(provider, tmp_path).complete("describe this")
@@ -338,8 +351,14 @@ def test_http_provider_rejects_4xx_and_malformed(monkeypatch):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
 
 
-@pytest.mark.parametrize("body", [["a story"], "a story", {"text": 5}],
-                         ids=["list", "string", "non-string-text"])
+@pytest.mark.parametrize(
+    "body",
+    [["a story"], "a story", {"text": 5}, {"text": "a story", "input_tokens": "12"},
+     {"text": "a story", "output_tokens": -1}, {"text": "a story", "input_tokens": True},
+     {"text": "a story", "output_tokens": 3.0}],
+    ids=["list", "string", "non-string-text", "string-tokens", "negative-tokens",
+         "bool-tokens", "float-tokens"],
+)
 def test_http_provider_rejects_malformed_bodies(monkeypatch, body):
     from restory import gateway as gw
 
