@@ -350,10 +350,13 @@ def _cmd_kappa(args) -> int:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                hash((obj["a"], obj["b"]))  # labels are counted in sets
                 ids.append(obj["id"])
                 labels_a.append(obj["a"])
                 labels_b.append(obj["b"])
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
     value = runner.cohen_kappa(
         runner.AnnotationSet(tuple(ids), tuple(labels_a), tuple(labels_b))

@@ -28,8 +28,6 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import requests
-
 from .errors import DataError, GatewayError
 from .prompts import RenderedPrompt, estimate_tokens
 
@@ -161,6 +159,8 @@ class HttpProvider:
         self.timeout = timeout
 
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:

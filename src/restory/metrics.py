@@ -19,8 +19,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DataError
 
 
@@ -351,6 +349,8 @@ class EmbeddedText:
     vectors: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         vecs = np.asarray(self.vectors, dtype=np.float64)
         object.__setattr__(self, "vectors", vecs)
         if vecs.ndim != 2:
@@ -382,6 +382,8 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
         raise MetricInputError(
             f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}"
         )
+    import numpy as np
+
     sim = candidate.vectors @ reference.vectors.T
     precision = float(np.mean(np.clip(sim.max(axis=1), 0.0, 1.0)))
     recall = float(np.mean(np.clip(sim.max(axis=0), 0.0, 1.0)))
@@ -412,6 +414,8 @@ class HashEmbedder:
     def _vector(self, token: str) -> np.ndarray:
         vec = self._cache.get(token)
         if vec is None:
+            import numpy as np
+
             digest = hashlib.sha256(f"{self.salt}:{token}".encode("utf-8")).digest()
             rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
             vec = rng.standard_normal(self.dim)
@@ -423,6 +427,8 @@ class HashEmbedder:
         return self.embed_tokens(tokenize(text))
 
     def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
+        import numpy as np
+
         tokens = tuple(tokens)
         if tokens:
             vectors = np.stack([self._vector(t) for t in tokens])
@@ -447,6 +453,8 @@ class OneHotEmbedder:
         return self.embed_tokens(tokenize(text))
 
     def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
+        import numpy as np
+
         tokens = tuple(tokens)
         vectors = np.zeros((len(tokens), self.dim))
         for row, tok in enumerate(tokens):

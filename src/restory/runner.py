@@ -198,12 +198,21 @@ def load_results(path: str | Path) -> tuple[list[GenerationRecord], list[Failure
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
-            if "failure" in obj:
-                failures.append(
-                    FailureRecord(obj["snippet_id"], obj["nloc"], obj["failure"])
-                )
-            else:
-                records.append(GenerationRecord.from_json(line))
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {lineno} is not an object")
+            try:
+                if type(obj["nloc"]) is not int:
+                    raise TypeError(f"nloc {obj['nloc']!r} is not an int")
+                if "failure" in obj:
+                    failures.append(
+                        FailureRecord(obj["snippet_id"], obj["nloc"], obj["failure"])
+                    )
+                else:
+                    records.append(GenerationRecord.from_json(line))
+            except KeyError as exc:
+                raise DataError(f"{path}: line {lineno} missing key {exc}") from exc
+            except (TypeError, ValueError, AttributeError, DataError) as exc:
+                raise DataError(f"{path}: bad record on line {lineno}: {exc}") from exc
     return records, failures
 
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from restory.corpus import CodeSnippet, DatasetRecord
+from restory.corpus import CodeSnippet, DatasetRecord, save_dataset
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -42,6 +42,34 @@ def make_dataset(nlocs: list[int]) -> list[DatasetRecord]:
         )
         records.append(DatasetRecord(snippet=snippet, reference_story=story))
     return records
+
+
+@pytest.fixture
+def dataset_35(tmp_path):
+    """35 snippets, one per stratum, saved as a JSON Lines dataset."""
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(make_dataset([10 * i + 5 for i in range(35)]), path)
+    return path
+
+
+def write_manifest(tmp_path, dataset, out_name="run", **overrides):
+    """A hermetic `echo`-provider run manifest; returns its path."""
+    values = {
+        "dataset": str(dataset),
+        "model": "llama-3.1-8b",
+        "prompt": "zero",
+        "output_dir": str(tmp_path / out_name),
+        "provider": "echo",
+        "seed": "7",
+        "min_output_tokens": "1",
+    }
+    values.update(overrides)
+    path = tmp_path / f"{out_name}.manifest"
+    path.write_text(
+        "# hermetic run\n" + "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n",
+        encoding="utf-8",
+    )
+    return path
 
 
 @pytest.fixture

@@ -7,33 +7,7 @@ import pytest
 from restory.cli import dispatch
 from restory.corpus import save_dataset
 
-from conftest import make_cpp_source, make_dataset
-
-
-@pytest.fixture
-def dataset_35(tmp_path):
-    path = tmp_path / "dataset.jsonl"
-    save_dataset(make_dataset([10 * i + 5 for i in range(35)]), path)
-    return path
-
-
-def _manifest(tmp_path, dataset, out_name="run", **overrides):
-    values = {
-        "dataset": str(dataset),
-        "model": "llama-3.1-8b",
-        "prompt": "zero",
-        "output_dir": str(tmp_path / out_name),
-        "provider": "echo",
-        "seed": "7",
-        "min_output_tokens": "1",
-    }
-    values.update(overrides)
-    path = tmp_path / f"{out_name}.manifest"
-    path.write_text(
-        "# hermetic run\n" + "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n",
-        encoding="utf-8",
-    )
-    return path
+from conftest import make_cpp_source, make_dataset, write_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +92,7 @@ def test_sample_missing_dataset_is_data_error(tmp_path):
 
 
 def test_generate_echo_manifest_end_to_end(dataset_35, tmp_path, capsys):
-    manifest = _manifest(tmp_path, dataset_35)
+    manifest = write_manifest(tmp_path, dataset_35)
     assert dispatch(["generate", "--manifest", str(manifest)]) == 0
     results = tmp_path / "run" / "results.jsonl"
     lines = results.read_text().splitlines()
@@ -127,7 +101,7 @@ def test_generate_echo_manifest_end_to_end(dataset_35, tmp_path, capsys):
 
 
 def test_generate_rerun_is_byte_identical_with_zero_calls(dataset_35, tmp_path, capsys):
-    manifest = _manifest(tmp_path, dataset_35)
+    manifest = write_manifest(tmp_path, dataset_35)
     assert dispatch(["generate", "--manifest", str(manifest)]) == 0
     results = tmp_path / "run" / "results.jsonl"
     first = results.read_bytes()
@@ -137,29 +111,29 @@ def test_generate_rerun_is_byte_identical_with_zero_calls(dataset_35, tmp_path, 
 
 
 def test_generate_undefined_variant_exits_1_naming_it(dataset_35, tmp_path, capsys):
-    manifest = _manifest(tmp_path, dataset_35, prompt="ten-shot")
+    manifest = write_manifest(tmp_path, dataset_35, prompt="ten-shot")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 1
     assert "ten-shot" in capsys.readouterr().err
 
 
 def test_generate_unknown_manifest_key_exits_1(dataset_35, tmp_path, capsys):
-    manifest = _manifest(tmp_path, dataset_35, typo_key="x")
+    manifest = write_manifest(tmp_path, dataset_35, typo_key="x")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 1
     assert "typo_key" in capsys.readouterr().err
 
 
 def test_generate_missing_dataset_exits_2(tmp_path):
-    manifest = _manifest(tmp_path, tmp_path / "missing.jsonl")
+    manifest = write_manifest(tmp_path, tmp_path / "missing.jsonl")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 2
 
 
 def test_generate_budget_exceeded_exits_3(dataset_35, tmp_path, capsys):
-    manifest = _manifest(tmp_path, dataset_35, budget_usd="0.000000000001")
+    manifest = write_manifest(tmp_path, dataset_35, budget_usd="0.000000000001")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 3
 
 
 def test_generate_static_provider_divergent(dataset_35, tmp_path):
-    manifest = _manifest(
+    manifest = write_manifest(
         tmp_path, dataset_35, out_name="garbage",
         provider="static:the quarterly maintenance window moved again",
     )
@@ -172,14 +146,14 @@ def test_generate_static_provider_divergent(dataset_35, tmp_path):
 def test_generate_grid_expands_six_variants(tmp_path, capsys):
     dataset = tmp_path / "small.jsonl"
     save_dataset(make_dataset([5, 105, 205]), dataset)
-    manifest = _manifest(tmp_path, dataset, out_name="grid")
+    manifest = write_manifest(tmp_path, dataset, out_name="grid")
     assert dispatch(["generate", "--manifest", str(manifest), "--grid"]) == 0
     for variant in ("zero", "zero-scot", "one", "one-scot", "few", "few-scot"):
         assert (tmp_path / "grid" / variant / "results.jsonl").exists()
 
 
 def test_generate_http_without_endpoint_exits_1(dataset_35, tmp_path):
-    manifest = _manifest(tmp_path, dataset_35, provider="http")
+    manifest = write_manifest(tmp_path, dataset_35, provider="http")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 1
 
 
@@ -189,7 +163,7 @@ def test_generate_http_without_endpoint_exits_1(dataset_35, tmp_path):
 
 @pytest.fixture
 def results_file(dataset_35, tmp_path):
-    manifest = _manifest(tmp_path, dataset_35)
+    manifest = write_manifest(tmp_path, dataset_35)
     assert dispatch(["generate", "--manifest", str(manifest)]) == 0
     return tmp_path / "run" / "results.jsonl"
 
@@ -220,8 +194,8 @@ def test_report_csv_and_json(results_file, tmp_path, capsys):
 
 
 def test_report_combines_multiple_runs(dataset_35, tmp_path):
-    m1 = _manifest(tmp_path, dataset_35, out_name="plain", prompt="one")
-    m2 = _manifest(tmp_path, dataset_35, out_name="scot", prompt="one-scot")
+    m1 = write_manifest(tmp_path, dataset_35, out_name="plain", prompt="one")
+    m2 = write_manifest(tmp_path, dataset_35, out_name="scot", prompt="one-scot")
     assert dispatch(["generate", "--manifest", str(m1)]) == 0
     assert dispatch(["generate", "--manifest", str(m2)]) == 0
     out = tmp_path / "paired.csv"
@@ -233,6 +207,35 @@ def test_report_combines_multiple_runs(dataset_35, tmp_path):
     assert len(lines) == 7  # header + 3 bands x 2 configs
     assert any(",true,one-scot," in l for l in lines)
     assert any(",false,one," in l for l in lines)
+
+
+_BAD_RESULT_LINES = {
+    "missing-keys": (lambda rec: {"snippet_id": "x"}, "line 2 missing key 'nloc'"),
+    "not-an-object": (lambda rec: [1], "line 2 is not an object"),
+    "unknown-band": (lambda rec: {**rec, "band": "great"},
+                     "bad record on line 2: 'great' is not a valid FidelityBand"),
+    "string-nloc": (lambda rec: {**rec, "nloc": "5"},
+                    "bad record on line 2: nloc '5' is not an int"),
+    "string-nloc-failure": (lambda rec: {"snippet_id": "x", "nloc": "5", "failure": "E"},
+                            "bad record on line 2: nloc '5' is not an int"),
+    "scores-not-an-object": (lambda rec: {**rec, "scores": [1]}, "bad record on line 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("case", sorted(_BAD_RESULT_LINES))
+def test_bad_results_line_exits_2_naming_path_and_line(results_file, tmp_path, capsys,
+                                                       command, case):
+    mutate, message = _BAD_RESULT_LINES[case]
+    first = results_file.read_text(encoding="utf-8").splitlines()[0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + "\n" + json.dumps(mutate(json.loads(first))) + "\n",
+                   encoding="utf-8")
+    argv = (["evaluate", "--results", str(bad)] if command == "evaluate"
+            else ["report", "--in", str(bad), "--out", str(tmp_path / "r.csv")])
+    capsys.readouterr()
+    assert dispatch(argv) == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +265,20 @@ def test_kappa_bad_file_exits_2(tmp_path):
     labels = tmp_path / "bad.jsonl"
     labels.write_text("{nope\n", encoding="utf-8")
     assert dispatch(["kappa", "--labels", str(labels)]) == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[1, 2]", "expected a JSON object, got list"),
+     ('{"id": 1, "a": [1], "b": [1]}', "unhashable type: 'list'"),
+     ('{"id": 1, "a": "x", "b": {"y": 1}}', "unhashable type: 'dict'")],
+    ids=["not-an-object", "list-labels", "dict-label"],
+)
+def test_kappa_bad_record_exits_2_naming_path_and_line(tmp_path, capsys, line, message):
+    labels = tmp_path / "bad.jsonl"
+    labels.write_text('{"id": 0, "a": "x", "b": "x"}\n' + line + "\n", encoding="utf-8")
+    assert dispatch(["kappa", "--labels", str(labels)]) == 2
+    assert f"error: {labels}:2: bad label record: {message}" in capsys.readouterr().err
 
 
 def test_calibrate_prints_ordered_table(capsys):

@@ -6,6 +6,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from restory.errors import DataError
 from restory.gateway import (
@@ -301,7 +302,7 @@ def test_http_provider_request_shape_and_response(monkeypatch):
         seen.update(url=url, payload=json, headers=headers)
         return _FakeResponse(200, {"text": "a story", "input_tokens": 11, "output_tokens": 7})
 
-    monkeypatch.setattr(gw.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setenv("MY_KEY", "sekrit")
     provider = gw.HttpProvider("https://models.example/v1/complete", api_key_env="MY_KEY")
     config = GenerationConfig(max_output_tokens=512)
@@ -323,7 +324,7 @@ def test_http_provider_request_shape_and_response(monkeypatch):
 def test_http_provider_accepts_output_key_and_missing_usage(monkeypatch):
     from restory import gateway as gw
 
-    monkeypatch.setattr(gw.requests, "post",
+    monkeypatch.setattr(requests, "post",
                         lambda *a, **k: _FakeResponse(200, {"output": "alt shape"}))
     response = gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
     assert response.text == "alt shape"
@@ -335,7 +336,7 @@ def test_http_provider_retryable_statuses(monkeypatch, status):
     from restory import gateway as gw
     from restory.gateway import TransientProviderError
 
-    monkeypatch.setattr(gw.requests, "post", lambda *a, **k: _FakeResponse(status))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(status))
     with pytest.raises(TransientProviderError):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
 
@@ -343,10 +344,10 @@ def test_http_provider_retryable_statuses(monkeypatch, status):
 def test_http_provider_rejects_4xx_and_malformed(monkeypatch):
     from restory import gateway as gw
 
-    monkeypatch.setattr(gw.requests, "post", lambda *a, **k: _FakeResponse(401))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(401))
     with pytest.raises(ProviderRejectedError):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
-    monkeypatch.setattr(gw.requests, "post", lambda *a, **k: _FakeResponse(200, {"nope": 1}))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(200, {"nope": 1}))
     with pytest.raises(ProviderRejectedError):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
 
@@ -362,20 +363,18 @@ def test_http_provider_rejects_4xx_and_malformed(monkeypatch):
 def test_http_provider_rejects_malformed_bodies(monkeypatch, body):
     from restory import gateway as gw
 
-    monkeypatch.setattr(gw.requests, "post", lambda *a, **k: _FakeResponse(200, body))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(200, body))
     with pytest.raises(ProviderRejectedError, match="malformed provider response"):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
 
 
 def test_http_provider_connection_error_is_transient(monkeypatch):
-    import requests
-
     from restory import gateway as gw
     from restory.gateway import TransientProviderError
 
     def boom(*a, **k):
         raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr(gw.requests, "post", boom)
+    monkeypatch.setattr(requests, "post", boom)
     with pytest.raises(TransientProviderError):
         gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
