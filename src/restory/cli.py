@@ -250,66 +250,58 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _run_manifest(manifest: RunManifest) -> int:
+def _cmd_generate(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    # Loaded and resolved once for every variant of a grid; each variant
+    # keeps its own Gateway, so a budget still applies per variant.
     dataset = corpus.load_dataset(manifest.dataset)
     model = _resolve_model(manifest)
     provider = _resolve_provider(manifest, dataset)
-    output_dir = Path(manifest.output_dir)
-    cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else output_dir / "cache"
-    gateway = Gateway(
-        provider,
-        model,
-        GenerationConfig(
-            temperature=manifest.temperature,
-            min_output_tokens=manifest.min_output_tokens,
-            repetition_penalty=manifest.repetition_penalty,
-            max_output_tokens=manifest.max_output_tokens,
-        ),
-        cache_dir=cache_dir,
-        ledger_path=cache_dir / "ledger.csv",
-        retries=manifest.retries,
-        budget_usd=manifest.budget_usd,
+    generation = GenerationConfig(
+        temperature=manifest.temperature,
+        min_output_tokens=manifest.min_output_tokens,
+        repetition_penalty=manifest.repetition_penalty,
+        max_output_tokens=manifest.max_output_tokens,
     )
-    config = default_prompt_config(manifest.prompt, few_k=manifest.few_shot_k)
-    exemplars = load_exemplars()[: config.expected_exemplars]
-    if len(exemplars) < config.expected_exemplars:
-        raise DataError(
-            f"need {config.expected_exemplars} exemplars but only {len(exemplars)} bundled"
-        )
-    result = runner.run_experiment(
-        dataset,
-        gateway,
-        config,
-        exemplars=exemplars,
-        embedder=_resolve_embedder(manifest.embedder, manifest.seed),
-        results_path=output_dir / "results.jsonl",
-        prompt_label=manifest.prompt,
-        concurrency=manifest.concurrency,
-    )
-    print(
-        f"{manifest.prompt}: {len(result.records)} records, "
-        f"{len(result.failures)} failures, {result.provider_calls} provider calls, "
-        f"{result.total_cost_usd:.6f} USD",
-        file=sys.stderr,
-    )
-    if result.records:
-        return EXIT_OK
-    return EXIT_PROVIDER  # every entry failed
-
-
-def _cmd_generate(args) -> int:
-    manifest = parse_manifest(args.manifest)
-    if not args.grid:
-        return _run_manifest(manifest)
-    worst = EXIT_OK
+    embedder = _resolve_embedder(manifest.embedder, manifest.seed)
+    bundled_exemplars = load_exemplars()
     base_dir = Path(manifest.output_dir)
-    cache_dir = manifest.cache_dir or str(base_dir / "cache")
-    for variant in sorted(PROMPT_VARIANTS):
-        sub = RunManifest(**{**manifest.__dict__,
-                             "prompt": variant,
-                             "output_dir": str(base_dir / variant),
-                             "cache_dir": cache_dir})
-        worst = max(worst, _run_manifest(sub))
+    cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
+    worst = EXIT_OK
+    for variant in sorted(PROMPT_VARIANTS) if args.grid else [manifest.prompt]:
+        gateway = Gateway(
+            provider,
+            model,
+            generation,
+            cache_dir=cache_dir,
+            ledger_path=cache_dir / "ledger.csv",
+            retries=manifest.retries,
+            budget_usd=manifest.budget_usd,
+        )
+        config = default_prompt_config(variant, few_k=manifest.few_shot_k)
+        exemplars = bundled_exemplars[: config.expected_exemplars]
+        if len(exemplars) < config.expected_exemplars:
+            raise DataError(
+                f"need {config.expected_exemplars} exemplars but only {len(exemplars)} bundled"
+            )
+        result = runner.run_experiment(
+            dataset,
+            gateway,
+            config,
+            exemplars=exemplars,
+            embedder=embedder,
+            results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
+            prompt_label=variant,
+            concurrency=manifest.concurrency,
+        )
+        print(
+            f"{variant}: {len(result.records)} records, "
+            f"{len(result.failures)} failures, {result.provider_calls} provider calls, "
+            f"{result.total_cost_usd:.6f} USD",
+            file=sys.stderr,
+        )
+        if not result.records:
+            worst = EXIT_PROVIDER  # every entry failed
     return worst
 
 

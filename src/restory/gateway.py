@@ -144,11 +144,14 @@ class ProviderResponse:
 
 
 class HttpProvider:
-    """Generic HTTPS chat-completion endpoint.
+    """Generic HTTP(S) chat-completion endpoint.
 
     Sends JSON with the model id, prompt, and decoding parameters; expects
     JSON back with `text` (or `output`) and optional token counts. The API
-    key is read from the named environment variable at call time.
+    key is read from the named environment variable at call time. The
+    stdlib client verifies HTTPS against the system trust store and takes
+    proxies from the environment when the first call builds its opener; a
+    redirect is never followed, because it would turn the POST into a GET.
     """
 
     RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
@@ -157,10 +160,20 @@ class HttpProvider:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout = timeout
+        self._opener = None
+        self._opener_lock = threading.Lock()
 
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
+        # urllib would also open file:, ftp: and data: URLs.
+        if not self.endpoint.lower().startswith(("http://", "https://")):
+            raise ProviderRejectedError(f"endpoint {self.endpoint!r} is not an http(s) URL")
+        with self._opener_lock:
+            if self._opener is None:
+                self._opener = _build_opener()
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
@@ -173,16 +186,33 @@ class HttpProvider:
             "max_tokens": config.max_output_tokens,
             "repetition_penalty": config.repetition_penalty,
         }
+        location = None
         try:
-            resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                self.endpoint, data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+                headers=headers, method="POST",
+            )
+            try:
+                with self._opener.open(request, timeout=self.timeout) as resp:
+                    status, raw = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    status, location, raw = exc.code, exc.headers.get("Location"), exc.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise TransientProviderError(f"request failed: {exc}") from exc
-        if resp.status_code in self.RETRYABLE_STATUSES:
-            raise TransientProviderError(f"provider returned {resp.status_code}")
-        if resp.status_code >= 400:
-            raise ProviderRejectedError(f"provider rejected request: {resp.status_code} {resp.text[:200]}")
+        except ValueError as exc:  # a config, URL or header value that cannot be sent
+            raise ProviderRejectedError(f"request not sent: {exc}") from exc
+        if status in self.RETRYABLE_STATUSES:
+            raise TransientProviderError(f"provider returned {status}")
+        if status >= 400:
+            detail = raw.decode("utf-8", "replace")[:200]
+            raise ProviderRejectedError(f"provider rejected request: {status} {detail}")
+        if not 200 <= status < 300:
+            raise ProviderRejectedError(
+                f"provider answered {status} (location {location!r}); redirects are not followed"
+            )
         try:
-            body = resp.json()
+            body = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
             raise ProviderRejectedError(f"malformed provider response: {exc}") from exc
         if not isinstance(body, dict):
@@ -201,6 +231,18 @@ class HttpProvider:
                     f"malformed provider response: {name} is {count!r}, not a non-negative int"
                 )
         return ProviderResponse(text=text, **usage)
+
+
+def _build_opener():
+    """A urllib opener with the default handlers, proxies read from the
+    environment now, and redirects refused: a 3xx surfaces as an HTTPError."""
+    import urllib.request
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(RefuseRedirects)
 
 
 class StaticProvider:

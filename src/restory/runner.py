@@ -144,8 +144,8 @@ class GenerationRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "GenerationRecord":
-        obj = json.loads(line)
+    def from_dict(cls, obj: dict) -> "GenerationRecord":
+        """The record a parsed `to_json` line describes."""
         return cls(
             snippet_id=obj["snippet_id"],
             nloc=obj["nloc"],
@@ -201,14 +201,15 @@ def load_results(path: str | Path) -> tuple[list[GenerationRecord], list[Failure
             if not isinstance(obj, dict):
                 raise DataError(f"{path}: line {lineno} is not an object")
             try:
-                if type(obj["nloc"]) is not int:
-                    raise TypeError(f"nloc {obj['nloc']!r} is not an int")
+                nloc = obj["nloc"]
+                if type(nloc) is not int:
+                    raise TypeError(f"nloc {nloc!r} is not an int")
+                if not 1 <= nloc <= MAX_NLOC:
+                    raise ValueError(f"nloc {nloc} outside [1, {MAX_NLOC}]")
                 if "failure" in obj:
-                    failures.append(
-                        FailureRecord(obj["snippet_id"], obj["nloc"], obj["failure"])
-                    )
+                    failures.append(FailureRecord(obj["snippet_id"], nloc, obj["failure"]))
                 else:
-                    records.append(GenerationRecord.from_json(line))
+                    records.append(GenerationRecord.from_dict(obj))
             except KeyError as exc:
                 raise DataError(f"{path}: line {lineno} missing key {exc}") from exc
             except (TypeError, ValueError, AttributeError, DataError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -152,6 +153,46 @@ def test_generate_grid_expands_six_variants(tmp_path, capsys):
         assert (tmp_path / "grid" / variant / "results.jsonl").exists()
 
 
+STATIC_STORY = "static:As a user, I want the task handled so that the outcome improves."
+
+# SHA-256 of each variant's results.jsonl from the grid run below. The
+# embeddings are 1-dimensional, so every vector is +1 or -1 and every dot
+# product is exact: the digests do not depend on the BLAS build.
+GRID_DIGESTS = {
+    "few": "69a64f6baa21f84d880af75e4fa3fbe779206531bd967e097784bc829bf14627",
+    "few-scot": "cc41cb0a621d7736aa500de5f29aec8e98f9d2916db3e6ee824c820755ee216d",
+    "one": "3837cfb79dab3027e4358568025b285168f14b79f4f6cb9f0f8ea9bffb250956",
+    "one-scot": "9c89da2725b37607bce8120382296b5fd690cc2db1f74ce92b4020b5c6836580",
+    "zero": "41a9cbedf24851756fe363ec0dfb952cb2193f4cc1e3f976419236bfc0acdbfe",
+    "zero-scot": "61fb9b3e570aa5b75d2be3bced4a023bf3b966261bcb4ab681ee442d76b201ae",
+}
+
+
+def test_generate_grid_results_are_pinned(tmp_path):
+    dataset = tmp_path / "small.jsonl"
+    save_dataset(make_dataset([5, 105, 205, 349]), dataset)
+    manifest = write_manifest(tmp_path, dataset, out_name="grid", embedder="synthetic:1",
+                              provider=STATIC_STORY)
+    assert dispatch(["generate", "--manifest", str(manifest), "--grid"]) == 0
+    assert {
+        v: hashlib.sha256((tmp_path / "grid" / v / "results.jsonl").read_bytes()).hexdigest()
+        for v in GRID_DIGESTS
+    } == GRID_DIGESTS
+
+
+def test_generate_grid_variant_equals_its_own_run(tmp_path):
+    dataset = tmp_path / "small.jsonl"
+    save_dataset(make_dataset([5, 105, 205, 349]), dataset)
+    grid = write_manifest(tmp_path, dataset, out_name="grid", provider=STATIC_STORY)
+    assert dispatch(["generate", "--manifest", str(grid), "--grid"]) == 0
+    for variant in GRID_DIGESTS:
+        single = write_manifest(tmp_path, dataset, out_name=variant, prompt=variant,
+                                provider=STATIC_STORY)
+        assert dispatch(["generate", "--manifest", str(single)]) == 0
+        assert ((tmp_path / variant / "results.jsonl").read_bytes()
+                == (tmp_path / "grid" / variant / "results.jsonl").read_bytes())
+
+
 def test_generate_http_without_endpoint_exits_1(dataset_35, tmp_path):
     manifest = write_manifest(tmp_path, dataset_35, provider="http")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 1
@@ -219,6 +260,12 @@ _BAD_RESULT_LINES = {
     "string-nloc-failure": (lambda rec: {"snippet_id": "x", "nloc": "5", "failure": "E"},
                             "bad record on line 2: nloc '5' is not an int"),
     "scores-not-an-object": (lambda rec: {**rec, "scores": [1]}, "bad record on line 2"),
+    "zero-nloc": (lambda rec: {**rec, "nloc": 0},
+                  "bad record on line 2: nloc 0 outside [1, 350]"),
+    "nloc-351": (lambda rec: {**rec, "nloc": 351},
+                 "bad record on line 2: nloc 351 outside [1, 350]"),
+    "zero-nloc-failure": (lambda rec: {"snippet_id": "x", "nloc": 0, "failure": "E"},
+                          "bad record on line 2: nloc 0 outside [1, 350]"),
 }
 
 

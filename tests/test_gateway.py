@@ -3,10 +3,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
+import socket
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from restory.errors import DataError
 from restory.gateway import (
@@ -14,11 +17,13 @@ from restory.gateway import (
     EchoProvider,
     Gateway,
     GenerationConfig,
+    HttpProvider,
     Ledger,
     ModelSpec,
     ProviderRejectedError,
     StaticProvider,
     TransientExhaustedError,
+    TransientProviderError,
     estimate_cost,
     model_spec,
 )
@@ -280,37 +285,83 @@ def test_echo_provider_rejects_unknown_code():
 
 
 # ---------------------------------------------------------------------------
-# HTTP provider contract
+# HTTP provider contract, against a real server on 127.0.0.1
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, body=None):
-        self.status_code = status_code
-        self._body = body or {}
-        self.text = str(body)
+class _Endpoint:
+    """A local HTTP server: every POST gets `status`, `headers` and `body`,
+    with `length` (default: the body's) as its Content-Length. `seen` holds
+    the path, headers and body of each POST received."""
 
-    def json(self):
-        return self._body
+    def __init__(self):
+        self.seen: list[dict] = []
+        self.answer(200, {"text": "a story"})
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                endpoint.seen.append({"path": self.path, "headers": self.headers, "body": body})
+                self.send_response(endpoint.status)
+                for name, value in endpoint.headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(endpoint.length))
+                self.end_headers()
+                self.wfile.write(endpoint.body)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+
+    def answer(self, status: int, body=b"{}", length: int | None = None, **headers) -> None:
+        """Reply with `body`: bytes as they are, anything else as JSON."""
+        self.status = status
+        self.body = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+        self.length = len(self.body) if length is None else length
+        self.headers = {"Content-Type": "application/json", **headers}
+
+    def provider(self, **kwargs) -> HttpProvider:
+        return HttpProvider(self.url + "/v1/complete", timeout=10, **kwargs)
 
 
-def test_http_provider_request_shape_and_response(monkeypatch):
-    from restory import gateway as gw
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """The requests must reach 127.0.0.1 directly."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
-    seen = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, payload=json, headers=headers)
-        return _FakeResponse(200, {"text": "a story", "input_tokens": 11, "output_tokens": 7})
+@pytest.fixture
+def endpoint(no_proxy):
+    server = _Endpoint()
+    # A short poll interval keeps `shutdown` from waiting half a second.
+    thread = threading.Thread(target=server.server.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.server.shutdown()
+        server.server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
-    monkeypatch.setattr(requests, "post", fake_post)
+
+def test_http_provider_request_shape_and_response(endpoint, monkeypatch):
+    endpoint.answer(200, {"text": "a story", "input_tokens": 11, "output_tokens": 7})
     monkeypatch.setenv("MY_KEY", "sekrit")
-    provider = gw.HttpProvider("https://models.example/v1/complete", api_key_env="MY_KEY")
+    provider = endpoint.provider(api_key_env="MY_KEY")
     config = GenerationConfig(max_output_tokens=512)
     response = provider.generate("llama-3.1-8b", "the prompt", config)
     assert response.text == "a story"
     assert (response.input_tokens, response.output_tokens) == (11, 7)
-    assert seen["url"] == "https://models.example/v1/complete"
-    assert seen["payload"] == {
+    (seen,) = endpoint.seen
+    assert seen["path"] == "/v1/complete"
+    payload = {
         "model": "llama-3.1-8b",
         "prompt": "the prompt",
         "temperature": 0.0,
@@ -318,63 +369,85 @@ def test_http_provider_request_shape_and_response(monkeypatch):
         "max_tokens": 512,
         "repetition_penalty": 0.2,
     }
+    assert json.loads(seen["body"]) == payload
+    assert seen["body"] == json.dumps(payload, allow_nan=False).encode("utf-8")
     assert seen["headers"]["Authorization"] == "Bearer sekrit"
+    assert seen["headers"]["Content-Type"] == "application/json"
 
 
-def test_http_provider_accepts_output_key_and_missing_usage(monkeypatch):
-    from restory import gateway as gw
-
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: _FakeResponse(200, {"output": "alt shape"}))
-    response = gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
+def test_http_provider_accepts_output_key_and_missing_usage(endpoint):
+    endpoint.answer(200, {"output": "alt shape"})
+    response = endpoint.provider().generate("m", "p", GenerationConfig())
     assert response.text == "alt shape"
     assert response.input_tokens is None and response.output_tokens is None
 
 
 @pytest.mark.parametrize("status", [429, 500, 503])
-def test_http_provider_retryable_statuses(monkeypatch, status):
-    from restory import gateway as gw
-    from restory.gateway import TransientProviderError
-
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(status))
-    with pytest.raises(TransientProviderError):
-        gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
+def test_http_provider_retryable_statuses(endpoint, status):
+    endpoint.answer(status)
+    with pytest.raises(TransientProviderError, match=f"provider returned {status}"):
+        endpoint.provider().generate("m", "p", GenerationConfig())
 
 
-def test_http_provider_rejects_4xx_and_malformed(monkeypatch):
-    from restory import gateway as gw
-
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(401))
+def test_http_provider_rejects_4xx_and_malformed(endpoint):
+    endpoint.answer(401, {"error": "bad key"})
+    with pytest.raises(ProviderRejectedError, match="401.*bad key"):
+        endpoint.provider().generate("m", "p", GenerationConfig())
+    endpoint.answer(200, {"nope": 1})
     with pytest.raises(ProviderRejectedError):
-        gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(200, {"nope": 1}))
-    with pytest.raises(ProviderRejectedError):
-        gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
+        endpoint.provider().generate("m", "p", GenerationConfig())
 
 
 @pytest.mark.parametrize(
     "body",
     [["a story"], "a story", {"text": 5}, {"text": "a story", "input_tokens": "12"},
      {"text": "a story", "output_tokens": -1}, {"text": "a story", "input_tokens": True},
-     {"text": "a story", "output_tokens": 3.0}],
+     {"text": "a story", "output_tokens": 3.0}, b"not json", b'{"text": "caf\xe9"}'],
     ids=["list", "string", "non-string-text", "string-tokens", "negative-tokens",
-         "bool-tokens", "float-tokens"],
+         "bool-tokens", "float-tokens", "not-json", "not-utf-8"],
 )
-def test_http_provider_rejects_malformed_bodies(monkeypatch, body):
-    from restory import gateway as gw
-
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(200, body))
+def test_http_provider_rejects_malformed_bodies(endpoint, body):
+    endpoint.answer(200, body)
     with pytest.raises(ProviderRejectedError, match="malformed provider response"):
-        gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
+        endpoint.provider().generate("m", "p", GenerationConfig())
 
 
-def test_http_provider_connection_error_is_transient(monkeypatch):
-    from restory import gateway as gw
-    from restory.gateway import TransientProviderError
+def test_http_provider_rejection_of_a_non_utf8_body_names_the_status(endpoint):
+    endpoint.answer(400, b"bad request: caf\xe9")
+    with pytest.raises(ProviderRejectedError, match="provider rejected request: 400 bad request"):
+        endpoint.provider().generate("m", "p", GenerationConfig())
 
-    def boom(*a, **k):
-        raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr(requests, "post", boom)
-    with pytest.raises(TransientProviderError):
-        gw.HttpProvider("https://x").generate("m", "p", GenerationConfig())
+def test_http_provider_rejects_a_redirect_without_following_it(endpoint):
+    endpoint.answer(302, Location="/elsewhere")
+    with pytest.raises(ProviderRejectedError, match="302.*redirects are not followed"):
+        endpoint.provider().generate("m", "p", GenerationConfig())
+    assert [s["path"] for s in endpoint.seen] == ["/v1/complete"]
+
+
+def test_http_provider_connection_closed_mid_body_is_transient(endpoint):
+    endpoint.answer(200, b'{"text": "a st', length=100)
+    with pytest.raises(TransientProviderError, match="request failed"):
+        endpoint.provider().generate("m", "p", GenerationConfig())
+
+
+def test_http_provider_connection_error_is_transient(no_proxy):
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    with pytest.raises(TransientProviderError, match="request failed"):
+        HttpProvider(f"http://127.0.0.1:{port}/v1", timeout=10).generate(
+            "m", "p", GenerationConfig())
+
+
+@pytest.mark.parametrize("endpoint_url", ["file:///etc/hostname", "models.example/v1"])
+def test_http_provider_rejects_an_endpoint_that_is_not_http(endpoint_url):
+    with pytest.raises(ProviderRejectedError, match="not an http"):
+        HttpProvider(endpoint_url).generate("m", "p", GenerationConfig())
+
+
+def test_http_provider_rejects_a_key_that_cannot_be_a_header(endpoint, monkeypatch):
+    monkeypatch.setenv("MY_KEY", "sekrit\nX-Injected: 1")
+    with pytest.raises(ProviderRejectedError, match="request not sent"):
+        endpoint.provider(api_key_env="MY_KEY").generate("m", "p", GenerationConfig())
+    assert endpoint.seen == []

@@ -1,7 +1,7 @@
-"""Start-up cost: numpy and requests load on first use, not on import.
+"""Start-up cost: numpy and the HTTP client load on first use, not on import.
 
-Each probe runs in a fresh interpreter, because this test process has
-already imported both modules.
+Each probe runs in a fresh interpreter, because this test process may
+already hold either module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from restory.cli import dispatch
 
 from conftest import make_cpp_source, write_manifest
 
-HEAVY = ("numpy", "requests")
+HEAVY = ("numpy", "urllib.request")
 
 # Imports restory, then runs each (name, argv) step of sys.argv[1] through
 # `dispatch` and records its exit code and which of HEAVY are loaded.
@@ -39,13 +39,14 @@ print(json.dumps(seen))
 _HTTP_PROBE = """
 import socket, sys
 from restory.gateway import GenerationConfig, HttpProvider, TransientProviderError
+before = "urllib.request" in sys.modules
 with socket.socket() as s:
     s.bind(("127.0.0.1", 0))
     port = s.getsockname()[1]
 try:
     HttpProvider(f"http://127.0.0.1:{port}/v1", timeout=5).generate("m", "p", GenerationConfig())
 except TransientProviderError:
-    print("transient", "requests" in sys.modules)
+    print("transient", before, "urllib.request" in sys.modules, "requests" in sys.modules)
 """
 
 
@@ -95,11 +96,11 @@ def test_commands_without_embeddings_load_neither(dataset_35, tmp_path):
     }
 
 
-def test_echo_generate_loads_numpy_but_not_requests(dataset_35, tmp_path):
+def test_echo_generate_loads_numpy_but_not_the_http_client(dataset_35, tmp_path):
     manifest = write_manifest(tmp_path, dataset_35)
     seen = _dispatch_probe([("generate", ["generate", "--manifest", str(manifest)])])
     assert seen == {"import": [], "generate": [0, ["numpy"]]}
 
 
-def test_http_provider_imports_requests_on_first_call():
-    assert _python(_HTTP_PROBE).split() == ["transient", "True"]
+def test_http_provider_loads_urllib_on_first_call_and_never_requests():
+    assert _python(_HTTP_PROBE).split() == ["transient", "False", "True", "False"]
