@@ -48,7 +48,6 @@ from .runner import (
     aggregate_by_band,
     calibration_experiment,
     cohen_kappa,
-    emit_report,
     load_calibration_pairs,
     run_experiment,
 )

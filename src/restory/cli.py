@@ -9,9 +9,9 @@ manifest file; credentials come from environment variables only.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from . import corpus, runner
@@ -25,6 +25,7 @@ from .gateway import (
     StaticProvider,
     model_spec,
 )
+from .jsonl import read_jsonl
 from .metrics import HashEmbedder
 from .prompts import PROMPT_VARIANTS, default_prompt_config, load_exemplars
 
@@ -90,15 +91,6 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # Manifest handling
 
-MANIFEST_KEYS = {
-    "dataset", "model", "prompt", "output_dir", "seed", "budget_usd",
-    "provider", "endpoint", "api_key_env", "cache_dir", "embedder",
-    "concurrency", "few_shot_k", "temperature", "min_output_tokens",
-    "repetition_penalty", "max_output_tokens", "input_cost_per_mtok",
-    "output_cost_per_mtok", "retries",
-}
-
-
 @dataclass
 class RunManifest:
     dataset: str
@@ -123,7 +115,22 @@ class RunManifest:
     retries: int = 3
 
 
+def _manifest_value(key: str, annotation: str, text: str):
+    """`text` as the type of RunManifest's `key`; a float must be finite."""
+    if annotation == "int":
+        return int(text)
+    if annotation.startswith("float"):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {text}")
+        return value
+    return text
+
+
 def parse_manifest(path: str | Path) -> RunManifest:
+    """Keys and types are RunManifest's fields; those without a default are
+    required, and the rest default to RunManifest's values."""
+    known = {f.name: f for f in fields(RunManifest)}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -133,47 +140,27 @@ def parse_manifest(path: str | Path) -> RunManifest:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in MANIFEST_KEYS:
+        if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown manifest key {key!r}")
         values[key] = value.strip()
 
-    for required in ("dataset", "model", "prompt", "output_dir"):
-        if required not in values:
-            raise UsageError(f"{path}: manifest missing required key {required!r}")
+    for f in known.values():
+        if f.default is MISSING and f.name not in values:
+            raise UsageError(f"{path}: manifest missing required key {f.name!r}")
     if values["prompt"] not in PROMPT_VARIANTS:
         raise UsageError(
             f"{path}: undefined prompt variant {values['prompt']!r}; "
             "choose one of: " + ", ".join(sorted(PROMPT_VARIANTS))
         )
-
-    def conv(key, fn, default):
-        return fn(values[key]) if key in values else default
-
     try:
-        return RunManifest(
-            dataset=values["dataset"],
-            model=values["model"],
-            prompt=values["prompt"],
-            output_dir=values["output_dir"],
-            seed=conv("seed", int, 0),
-            budget_usd=conv("budget_usd", float, None),
-            provider=values.get("provider", "http"),
-            endpoint=values.get("endpoint", ""),
-            api_key_env=values.get("api_key_env", "RESTORY_API_KEY"),
-            cache_dir=values.get("cache_dir", ""),
-            embedder=values.get("embedder", "synthetic:64"),
-            concurrency=conv("concurrency", int, 1),
-            few_shot_k=conv("few_shot_k", int, 3),
-            temperature=conv("temperature", float, 0.0),
-            min_output_tokens=conv("min_output_tokens", int, 50),
-            repetition_penalty=conv("repetition_penalty", float, 0.2),
-            max_output_tokens=conv("max_output_tokens", int, 4096),
-            input_cost_per_mtok=conv("input_cost_per_mtok", float, None),
-            output_cost_per_mtok=conv("output_cost_per_mtok", float, None),
-            retries=conv("retries", int, 3),
-        )
+        manifest = RunManifest(**{
+            key: _manifest_value(key, known[key].type, text) for key, text in values.items()
+        })
     except ValueError as exc:
         raise UsageError(f"{path}: bad manifest value: {exc}") from exc
+    if manifest.budget_usd is not None and manifest.budget_usd < 0:
+        raise UsageError(f"{path}: budget_usd must be >= 0, got {manifest.budget_usd}")
+    return manifest
 
 
 def _resolve_model(manifest: RunManifest) -> ModelSpec:
@@ -334,25 +321,15 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _label_row(obj: dict) -> tuple:
+    hash((obj["a"], obj["b"]))  # labels are counted in sets
+    return obj["id"], obj["a"], obj["b"]
+
+
 def _cmd_kappa(args) -> int:
-    ids, labels_a, labels_b = [], [], []
-    with open(args.labels, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                hash((obj["a"], obj["b"]))  # labels are counted in sets
-                ids.append(obj["id"])
-                labels_a.append(obj["a"])
-                labels_b.append(obj["b"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
-    value = runner.cohen_kappa(
-        runner.AnnotationSet(tuple(ids), tuple(labels_a), tuple(labels_b))
-    )
+    rows = [row for _, row in read_jsonl(args.labels, _label_row)]
+    ids, labels_a, labels_b = zip(*rows) if rows else ((), (), ())
+    value = runner.cohen_kappa(runner.AnnotationSet(ids, labels_a, labels_b))
     print(f"{value:.3f}")
     return EXIT_OK
 

@@ -10,7 +10,6 @@ lines count as code. `count_nloc` states the exact rules.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .jsonl import decode, dumps, read_jsonl
 
 SUPPORTED_LANGUAGES = ("cpp",)
 
@@ -48,10 +48,6 @@ class DeficientStrataError(DataError):
     def __init__(self, labels: Sequence[str]):
         super().__init__("deficient strata: " + ", ".join(labels))
         self.labels = tuple(labels)
-
-
-class DatasetError(DataError):
-    pass
 
 
 # The lexemes that hide code, matched leftmost first as the text is scanned:
@@ -224,19 +220,20 @@ def sample_stratified(
     return out
 
 
+# CodeSnippet field -> its key on a dataset line; `reference_story` is the
+# line's other key.
+_SNIPPET_KEYS = {
+    "id": "id",
+    "language_tag": "language",
+    "source_text": "code",
+    "nloc": "nloc",
+    "stratum_index": "stratum",
+}
+
+
 def record_to_json(record: DatasetRecord) -> str:
-    return json.dumps(
-        {
-            "id": record.snippet.id,
-            "language": record.snippet.language_tag,
-            "code": record.snippet.source_text,
-            "nloc": record.snippet.nloc,
-            "stratum": record.snippet.stratum_index,
-            "reference_story": record.reference_story,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    obj = {key: getattr(record.snippet, field) for field, key in _SNIPPET_KEYS.items()}
+    return dumps({**obj, "reference_story": record.reference_story})
 
 
 def save_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
@@ -247,44 +244,25 @@ def save_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
             fh.write(record_to_json(record) + "\n")
 
 
-def load_dataset(path: str | Path) -> list[DatasetRecord]:
-    """Load a JSON Lines dataset, validating every record's invariants.
+def _record_from_json(obj: dict) -> DatasetRecord:
+    try:
+        return decode(DatasetRecord, obj,
+                      snippet=lambda line: decode(CodeSnippet, line, _SNIPPET_KEYS))
+    except (TypeError, DataError) as exc:
+        raise DataError(f"record {obj.get('id')!r}: {exc}") from exc
 
-    Malformed lines report their line number; invariant violations report
-    the offending record id.
-    """
+
+def load_dataset(path: str | Path) -> list[DatasetRecord]:
+    """Load a JSON Lines dataset, validating every record's types and
+    invariants. Each error names the file and line, and the record id
+    once the line is an object."""
     records: list[DatasetRecord] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DatasetError(f"{path}: line {lineno} is not an object")
-            missing = {"id", "language", "code", "nloc", "stratum", "reference_story"} - set(obj)
-            if missing:
-                raise DatasetError(
-                    f"{path}: line {lineno} missing keys: {', '.join(sorted(missing))}"
-                )
-            rec_id = obj["id"]
-            if rec_id in seen_ids:
-                raise DatasetError(f"{path}: duplicate record id {rec_id!r} on line {lineno}")
-            seen_ids.add(rec_id)
-            try:
-                snippet = CodeSnippet(
-                    id=rec_id,
-                    source_text=obj["code"],
-                    language_tag=obj["language"],
-                    nloc=obj["nloc"],
-                    stratum_index=obj["stratum"],
-                )
-                records.append(DatasetRecord(snippet=snippet, reference_story=obj["reference_story"]))
-            except (DataError, TypeError) as exc:
-                raise DatasetError(f"{path}: record {rec_id!r}: {exc}") from exc
+    for lineno, record in read_jsonl(path, _record_from_json):
+        if record.snippet.id in seen_ids:
+            raise DataError(f"{path}: duplicate record id {record.snippet.id!r} on line {lineno}")
+        seen_ids.add(record.snippet.id)
+        records.append(record)
     return records
 
 

@@ -19,16 +19,18 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import DataError, GatewayError
+from .jsonl import decode, dumps
 from .prompts import RenderedPrompt, estimate_tokens
 
 logger = logging.getLogger(__name__)
@@ -62,10 +64,12 @@ class GenerationConfig:
     max_output_tokens: int = 4096
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise DataError(f"temperature must be >= 0, got {self.temperature}")
-        if self.repetition_penalty <= 0:
-            raise DataError(f"repetition_penalty must be > 0, got {self.repetition_penalty}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise DataError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not (math.isfinite(self.repetition_penalty) and self.repetition_penalty > 0):
+            raise DataError(
+                f"repetition_penalty must be finite and > 0, got {self.repetition_penalty}"
+            )
         if self.min_output_tokens < 1 or self.max_output_tokens < 1:
             raise DataError("token limits must be positive")
         if self.min_output_tokens > self.max_output_tokens:
@@ -127,13 +131,6 @@ class CompletionResult:
     cached: bool
     retries: int = 0
     tokens_estimated: bool = False
-
-
-# What a cache entry must hold per field; bool never passes for a number.
-_CACHED_FIELD_TYPES = tuple(
-    (f.name, {"str": str, "int": int, "float": (int, float), "bool": bool}[f.type])
-    for f in fields(CompletionResult)
-)
 
 
 @dataclass(frozen=True)
@@ -348,18 +345,14 @@ class Gateway:
     # -- cache ---------------------------------------------------------
 
     def _cache_key(self, prompt_text: str) -> str:
-        payload = json.dumps(
-            {
-                "model": self.model.model_id,
-                "temperature": self.config.temperature,
-                "min_output_tokens": self.config.min_output_tokens,
-                "repetition_penalty": self.config.repetition_penalty,
-                "max_output_tokens": self.config.max_output_tokens,
-                "prompt": prompt_text,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        payload = dumps({
+            "model": self.model.model_id,
+            "temperature": self.config.temperature,
+            "min_output_tokens": self.config.min_output_tokens,
+            "repetition_penalty": self.config.repetition_penalty,
+            "max_output_tokens": self.config.max_output_tokens,
+            "prompt": prompt_text,
+        })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _cache_path(self, key: str) -> Path | None:
@@ -370,13 +363,8 @@ class Gateway:
         if path is None or not path.exists():
             return None
         try:
-            result = CompletionResult(**json.loads(path.read_text(encoding="utf-8")))
-            for name, kind in _CACHED_FIELD_TYPES:
-                value = getattr(result, name)
-                if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
-                    raise TypeError(f"{name} is {type(value).__name__}")
-            return result
-        except (ValueError, TypeError) as exc:
+            return decode(CompletionResult, json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError, KeyError) as exc:
             # A miss: the provider's result overwrites the damaged entry.
             logger.warning("ignoring damaged cache entry %s: %s", path, exc)
             return None
@@ -391,7 +379,7 @@ class Gateway:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(result.__dict__, sort_keys=True, ensure_ascii=False))
+                fh.write(dumps(vars(result)))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

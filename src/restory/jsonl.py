@@ -1,0 +1,101 @@
+"""The JSON Lines record format shared by every restory data file.
+
+Datasets, results, exemplars, calibration pairs and labels are all read by
+`read_jsonl`, so each of their errors names the file and the line in one
+format. `decode` builds a dataclass from one JSON object and type-checks
+each field against its annotation (the annotations must be strings, as
+under `from __future__ import annotations`). `dumps` writes a record back.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import MISSING, fields
+from functools import cache
+from typing import Callable, Iterator, Mapping, TypeVar
+
+from .errors import DataError
+
+T = TypeVar("T")
+
+# Annotation name -> (accepted types, how an error names it). An int passes
+# for a float; a bool never passes for a number.
+_KINDS = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an int"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a bool"),
+    "None": ((type(None),), "null"),
+}
+
+
+@cache
+def _schema(cls: type) -> tuple[tuple[str, tuple | None, str, bool], ...]:
+    """(name, accepted types, description, required) per field of `cls`.
+    Accepted types are None for a field whose annotation is not made of
+    `_KINDS` names; `decode` must be told how to build such a field."""
+    table = []
+    for f in fields(cls):
+        parts = [part.strip() for part in f.type.split("|")]
+        kinds, names = None, ""
+        if all(part in _KINDS for part in parts):
+            kinds = tuple(t for part in parts for t in _KINDS[part][0])
+            names = " or ".join(_KINDS[part][1] for part in parts)
+        required = f.default is MISSING and f.default_factory is MISSING
+        table.append((f.name, kinds, names, required))
+    return tuple(table)
+
+
+def decode(cls: type[T], obj: dict, keys: Mapping[str, str] | None = None,
+           **build: Callable[[dict], object]) -> T:
+    """The `cls` instance that the JSON object `obj` describes.
+
+    Each field is read from the key of its name (or `keys[name]`) and must
+    have its annotated type; a missing key raises KeyError unless the field
+    has a default, and a wrong type raises TypeError. A field named in
+    `build` is instead `build[name](obj)`. Fields are taken in declaration
+    order, so the first bad one is reported.
+    """
+    kwargs = {}
+    for name, kinds, names, required in _schema(cls):
+        if name in build:
+            kwargs[name] = build[name](obj)
+        elif (key := keys.get(name, name) if keys else name) in obj:
+            value = kwargs[name] = obj[key]
+            # Parsed JSON holds exact classes: a bool is never an int here.
+            if kinds is not None and value.__class__ not in kinds:
+                raise TypeError(f"{key} {value!r} is not {names}")
+        elif required:
+            raise KeyError(key)
+    return cls(**kwargs)
+
+
+def read_jsonl(path, build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """`(lineno, build(obj))` for each non-blank line of the file at `path`.
+
+    A line that is not a JSON object raises DataError, and so does a
+    KeyError, TypeError, ValueError, AttributeError or DataError from
+    `build`; each message names the file and the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {lineno} is not an object")
+            try:
+                record = build(obj)
+            except KeyError as exc:
+                raise DataError(f"{path}: line {lineno} missing key {exc}") from exc
+            except (TypeError, ValueError, AttributeError, DataError) as exc:
+                raise DataError(f"{path}: bad record on line {lineno}: {exc}") from exc
+            yield lineno, record
+
+
+def dumps(obj: dict) -> str:
+    """One JSON line: keys sorted, non-ASCII text kept as is."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False)

@@ -14,7 +14,6 @@ mention all three control-flow primitives (sequence, branch, loop).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import Sequence
 
 from .corpus import CodeSnippet
 from .errors import DataError
+from .jsonl import decode, dumps, read_jsonl
 
 SHOT_MODES = ("zero", "one", "few")
 
@@ -79,19 +79,8 @@ def load_exemplars(path: str | Path | None = None) -> list[Exemplar]:
     """Exemplars from a JSON Lines file with `code` and `story` keys;
     defaults to the bundled fixtures."""
     if path is None:
-        text = (resources.files("restory") / "data" / "exemplars.jsonl").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            out.append(Exemplar(code=obj["code"], story=obj["story"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"bad exemplar on line {lineno}: {exc}") from exc
-    return out
+        path = resources.files("restory") / "data" / "exemplars.jsonl"
+    return [ex for _, ex in read_jsonl(path, lambda obj: decode(Exemplar, obj))]
 
 
 @dataclass(frozen=True)
@@ -115,17 +104,13 @@ class PromptConfig:
         return {"zero": 0, "one": 1, "few": self.few_k}[self.shots]
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "shots": self.shots,
-                "k": self.expected_exemplars,
-                "scot": self.scot,
-                "directive": self.directive,
-                "hint": self.story_format_hint,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        payload = dumps({
+            "shots": self.shots,
+            "k": self.expected_exemplars,
+            "scot": self.scot,
+            "directive": self.directive,
+            "hint": self.story_format_hint,
+        })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 from .corpus import MAX_NLOC, STRATA, DatasetRecord
 from .errors import DataError
 from .gateway import BudgetExceededError, Gateway, GatewayError
+from .jsonl import decode, dumps, read_jsonl
 from .metrics import (
     FidelityBand,
     HashEmbedder,
@@ -54,6 +55,27 @@ class EmptyCategoryError(DataError):
 # Scoring
 
 
+def _widened(v: float) -> ScoreTriple:
+    return ScoreTriple(v, v, v)
+
+
+# Metric name -> (scorer of candidate and reference tokens, calibration
+# variant label; "" stands for the embedder id). The scorers look `bleu`,
+# `rouge_l` and `greedy_embedding_score` up in this module at each call, so
+# a wrapper set on the module sees every call.
+METRICS = {
+    GREEDY_METRIC: (
+        lambda cand, ref, embedder: greedy_embedding_score(
+            embedder.embed_tokens(cand), embedder.embed_tokens(ref)),
+        "",
+    ),
+    "bleu": (lambda cand, ref, _: _widened(bleu(cand, ref, smoothing=False)), "default"),
+    "bleu-smoothed": (lambda cand, ref, _: _widened(bleu(cand, ref, smoothing=True)), "smoothing"),
+    "rouge-l": (lambda cand, ref, _: rouge_l(cand, ref, use_stemming=True), "default"),
+    "rouge-l-nostem": (lambda cand, ref, _: rouge_l(cand, ref, use_stemming=False), "no-stem"),
+}
+
+
 def score_pair(
     candidate_text: str,
     reference_text: str,
@@ -63,33 +85,18 @@ def score_pair(
     """All requested metrics for one candidate/reference text pair.
 
     Scalar metrics (BLEU) are widened to a triple with P = R = F1. An empty
-    side yields zero triples across the board.
+    side yields zero triples across the board. An unknown metric name
+    raises DataError whatever the texts.
     """
+    try:
+        scorers = [(name, METRICS[name][0]) for name in metric_names]
+    except KeyError as exc:
+        raise DataError(f"unknown metric {exc.args[0]!r}") from None
     cand_tokens = tokenize(candidate_text)
     ref_tokens = tokenize(reference_text)
-    zeros = ScoreTriple(0.0, 0.0, 0.0)
-    scores: dict[str, ScoreTriple] = {}
-    for name in metric_names:
-        if not cand_tokens or not ref_tokens:
-            scores[name] = zeros
-            continue
-        if name == GREEDY_METRIC:
-            scores[name] = greedy_embedding_score(
-                embedder.embed_tokens(cand_tokens), embedder.embed_tokens(ref_tokens)
-            )
-        elif name == "bleu":
-            v = bleu(cand_tokens, ref_tokens, smoothing=False)
-            scores[name] = ScoreTriple(v, v, v)
-        elif name == "bleu-smoothed":
-            v = bleu(cand_tokens, ref_tokens, smoothing=True)
-            scores[name] = ScoreTriple(v, v, v)
-        elif name == "rouge-l":
-            scores[name] = rouge_l(cand_tokens, ref_tokens, use_stemming=True)
-        elif name == "rouge-l-nostem":
-            scores[name] = rouge_l(cand_tokens, ref_tokens, use_stemming=False)
-        else:
-            raise DataError(f"unknown metric {name!r}")
-    return scores
+    if not cand_tokens or not ref_tokens:
+        return {name: ScoreTriple(0.0, 0.0, 0.0) for name, _ in scorers}
+    return {name: score(cand_tokens, ref_tokens, embedder) for name, score in scorers}
 
 
 # ---------------------------------------------------------------------------
@@ -121,47 +128,24 @@ class GenerationRecord:
                 )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "snippet_id": self.snippet_id,
-                "nloc": self.nloc,
-                "model_id": self.model_id,
-                "prompt_fingerprint": self.prompt_fingerprint,
-                "prompt_label": self.prompt_label,
-                "scot": self.scot,
-                "candidate_story": self.candidate_story,
-                "scores": {
-                    name: {"precision": t.precision, "recall": t.recall, "f1": t.f1}
-                    for name, t in sorted(self.scores.items())
-                },
-                "band": self.band.value,
-                "cost_usd": self.cost_usd,
-                "parse_fallback": self.parse_fallback,
-                "multi_story": self.multi_story,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return dumps({
+            **vars(self),
+            "scores": {name: vars(t) for name, t in self.scores.items()},
+            "band": self.band.value,
+        })
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GenerationRecord":
-        """The record a parsed `to_json` line describes."""
-        return cls(
-            snippet_id=obj["snippet_id"],
-            nloc=obj["nloc"],
-            model_id=obj["model_id"],
-            prompt_fingerprint=obj["prompt_fingerprint"],
-            prompt_label=obj.get("prompt_label", ""),
-            scot=obj.get("scot", False),
-            candidate_story=obj["candidate_story"],
-            scores={
+        """The record a parsed `to_json` line describes; raises KeyError,
+        TypeError or ValueError for a line that describes none. A line
+        without `prompt_label` or `scot` reads as "" and false."""
+        return decode(
+            cls, {"prompt_label": "", "scot": False, **obj},
+            scores=lambda line: {
                 name: ScoreTriple(t["precision"], t["recall"], t["f1"])
-                for name, t in obj["scores"].items()
+                for name, t in line["scores"].items()
             },
-            band=FidelityBand(obj["band"]),
-            cost_usd=obj["cost_usd"],
-            parse_fallback=obj.get("parse_fallback", False),
-            multi_story=obj.get("multi_story", False),
+            band=lambda line: FidelityBand(line["band"]),
         )
 
 
@@ -172,11 +156,7 @@ class FailureRecord:
     failure: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"snippet_id": self.snippet_id, "nloc": self.nloc, "failure": self.failure},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return dumps(vars(self))
 
 
 @dataclass
@@ -187,33 +167,18 @@ class RunResult:
     provider_calls: int
 
 
+def _result_from_dict(obj: dict) -> GenerationRecord | FailureRecord:
+    record = decode(FailureRecord, obj) if "failure" in obj else GenerationRecord.from_dict(obj)
+    if not 1 <= record.nloc <= MAX_NLOC:
+        raise ValueError(f"nloc {record.nloc} outside [1, {MAX_NLOC}]")
+    return record
+
+
 def load_results(path: str | Path) -> tuple[list[GenerationRecord], list[FailureRecord]]:
     records: list[GenerationRecord] = []
     failures: list[FailureRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {lineno} is not an object")
-            try:
-                nloc = obj["nloc"]
-                if type(nloc) is not int:
-                    raise TypeError(f"nloc {nloc!r} is not an int")
-                if not 1 <= nloc <= MAX_NLOC:
-                    raise ValueError(f"nloc {nloc} outside [1, {MAX_NLOC}]")
-                if "failure" in obj:
-                    failures.append(FailureRecord(obj["snippet_id"], nloc, obj["failure"]))
-                else:
-                    records.append(GenerationRecord.from_dict(obj))
-            except KeyError as exc:
-                raise DataError(f"{path}: line {lineno} missing key {exc}") from exc
-            except (TypeError, ValueError, AttributeError, DataError) as exc:
-                raise DataError(f"{path}: bad record on line {lineno}: {exc}") from exc
+    for _, record in read_jsonl(path, _result_from_dict):
+        (failures if isinstance(record, FailureRecord) else records).append(record)
     return records, failures
 
 
@@ -415,27 +380,6 @@ def aggregate_by_band(
 # Reports
 
 
-def _report_rows(
-    aggregates: Sequence[BandAggregate], scot: bool, prompt: str, model: str
-) -> list[dict]:
-    rows = []
-    for agg in aggregates:
-        rows.append(
-            {
-                "band": agg.band_label,
-                "n": agg.n,
-                "precision": round(agg.mean_precision * 100, 2),
-                "recall": round(agg.mean_recall * 100, 2),
-                "f1": round(agg.mean_f1 * 100, 2),
-                "scot": scot,
-                "prompt": prompt,
-                "model": model,
-                "failures": agg.failures,
-            }
-        )
-    return rows
-
-
 def collect_report_rows(
     records: Sequence[GenerationRecord],
     scheme: str = "coarse3",
@@ -456,7 +400,18 @@ def collect_report_rows(
             groups[(model, prompt, scot)], scheme, metric,
             failures=failures if single else (),
         )
-        rows.extend(_report_rows(aggs, scot, prompt, model))
+        for agg in aggs:
+            rows.append({
+                "band": agg.band_label,
+                "n": agg.n,
+                "precision": round(agg.mean_precision * 100, 2),
+                "recall": round(agg.mean_recall * 100, 2),
+                "f1": round(agg.mean_f1 * 100, 2),
+                "scot": scot,
+                "prompt": prompt,
+                "model": model,
+                "failures": agg.failures,
+            })
     return rows
 
 
@@ -495,57 +450,11 @@ def write_report_rows(rows: Sequence[dict], path: str | Path, format: str = "csv
         raise DataError(f"unknown report format {format!r}; choose csv or json")
 
 
-def emit_report(
-    aggregates: Sequence[BandAggregate],
-    records: Sequence[GenerationRecord],
-    path: str | Path,
-    format: str = "csv",
-) -> None:
-    """Write aggregates for a single run; the run context (model, prompt,
-    scot) is derived from the records and must be uniform."""
-    contexts = {(r.model_id, r.prompt_label, r.scot) for r in records}
-    if len(contexts) != 1:
-        raise DataError(
-            "records span multiple runs; use collect_report_rows for combined tables"
-        )
-    model, prompt, scot = next(iter(contexts))
-    write_report_rows(_report_rows(aggregates, scot, prompt, model), path, format)
-
-
-def read_report(path: str | Path, format: str = "csv") -> list[dict]:
-    path = Path(path)
-    if format == "csv":
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = lines[0].split(",")
-        rows = []
-        for line in lines[1:]:
-            values = line.split(",")
-            row = dict(zip(header, values))
-            row["n"] = int(row["n"])
-            row["failures"] = int(row["failures"])
-            for key in ("precision", "recall", "f1"):
-                row[key] = float(row[key])
-            row["scot"] = row["scot"] == "true"
-            rows.append(row)
-        return rows
-    if format == "json":
-        return json.loads(path.read_text(encoding="utf-8"))["rows"]
-    raise DataError(f"unknown report format {format!r}")
-
-
 # ---------------------------------------------------------------------------
 # Metric calibration
 
 
 CALIBRATION_CATEGORIES = ("twin-minimal", "paraphrase-50", "different-meaning")
-
-CALIBRATION_METRICS: tuple[tuple[str, str], ...] = (
-    (GREEDY_METRIC, ""),  # variant filled with the embedder id at run time
-    ("bleu", "default"),
-    ("bleu-smoothed", "smoothing"),
-    ("rouge-l", "default"),
-    ("rouge-l-nostem", "no-stem"),
-)
 
 
 @dataclass(frozen=True)
@@ -562,24 +471,11 @@ class CalibrationPair:
 
 
 def load_calibration_pairs(path: str | Path | None = None) -> list[CalibrationPair]:
+    """Pairs from a JSON Lines file with `candidate`, `reference` and
+    `category` keys; defaults to the bundled fixture."""
     if path is None:
-        text = (resources.files("restory") / "data" / "calibration_pairs.jsonl").read_text(
-            encoding="utf-8"
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            pairs.append(
-                CalibrationPair(obj["candidate"], obj["reference"], obj["category"])
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"bad calibration pair on line {lineno}: {exc}") from exc
-    return pairs
+        path = resources.files("restory") / "data" / "calibration_pairs.jsonl"
+    return [pair for _, pair in read_jsonl(path, lambda obj: decode(CalibrationPair, obj))]
 
 
 def calibration_experiment(
@@ -599,7 +495,7 @@ def calibration_experiment(
         raise EmptyCategoryError("empty calibration categories: " + ", ".join(empty))
 
     rows = []
-    for metric, variant in CALIBRATION_METRICS:
+    for metric, (_, variant) in METRICS.items():
         row: dict = {
             "metric": metric,
             "variant": variant or embedder.provider_id,

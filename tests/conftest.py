@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from restory.corpus import CodeSnippet, DatasetRecord, save_dataset
@@ -116,3 +119,22 @@ class AlwaysFailingProvider:
         if self.transient:
             raise TransientProviderError("synthetic outage")
         raise ProviderRejectedError("synthetic rejection")
+
+
+def read_report(path: str | Path, format: str = "csv") -> list[dict]:
+    """The rows of a report that `write_report_rows` wrote, typed as written."""
+    path = Path(path)
+    if format == "json":
+        return json.loads(path.read_text(encoding="utf-8"))["rows"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        row["n"] = int(row["n"])
+        row["failures"] = int(row["failures"])
+        for key in ("precision", "recall", "f1"):
+            row[key] = float(row[key])
+        row["scot"] = row["scot"] == "true"
+        rows.append(row)
+    return rows

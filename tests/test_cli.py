@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from restory.cli import dispatch
+from restory.cli import dispatch, parse_manifest
 from restory.corpus import save_dataset
 
 from conftest import make_cpp_source, make_dataset, write_manifest
@@ -86,6 +88,31 @@ def test_sample_deficient_stratum_is_data_error(dataset_35, tmp_path, capsys):
 def test_sample_missing_dataset_is_data_error(tmp_path):
     assert dispatch(["sample", "--in", str(tmp_path / "nope.jsonl"),
                      "--per-stratum", "1", "--seed", "1"]) == 2
+
+
+_MISTYPED_DATASET_FIELDS = {
+    "code-int": ({"code": 5}, "code 5 is not a string"),
+    "reference-story-int": ({"reference_story": 5}, "reference_story 5 is not a string"),
+    "nloc-bool": ({"nloc": True}, "nloc True is not an int"),
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "generate"])
+@pytest.mark.parametrize("case", sorted(_MISTYPED_DATASET_FIELDS))
+def test_mistyped_dataset_line_exits_2_naming_path_line_and_record(tmp_path, capsys,
+                                                                   command, case):
+    change, message = _MISTYPED_DATASET_FIELDS[case]
+    dataset = tmp_path / "typed.jsonl"
+    save_dataset(make_dataset([15, 5]), dataset)  # line 2: snip-001, nloc 5, stratum 0
+    first, second = dataset.read_text(encoding="utf-8").splitlines()
+    dataset.write_text(first + "\n" + json.dumps({**json.loads(second), **change}) + "\n",
+                       encoding="utf-8")
+    argv = (["sample", "--in", str(dataset), "--per-stratum", "1", "--seed", "1"]
+            if command == "sample"
+            else ["generate", "--manifest", str(write_manifest(tmp_path, dataset))])
+    assert dispatch(argv) == 2
+    expected = f"error: {dataset}: bad record on line 2: record 'snip-001': {message}"
+    assert expected in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +218,57 @@ def test_generate_grid_variant_equals_its_own_run(tmp_path):
         assert dispatch(["generate", "--manifest", str(single)]) == 0
         assert ((tmp_path / variant / "results.jsonl").read_bytes()
                 == (tmp_path / "grid" / variant / "results.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("budget_usd", "nan"), ("budget_usd", "inf"), ("budget_usd", "-1"),
+     ("temperature", "nan"), ("repetition_penalty", "inf"), ("input_cost_per_mtok", "nan")],
+    ids=["budget-nan", "budget-inf", "budget-negative", "temperature-nan",
+         "repetition-penalty-inf", "input-cost-nan"],
+)
+def test_generate_non_finite_or_negative_budget_manifest_exits_1(dataset_35, tmp_path, capsys,
+                                                                 key, value):
+    manifest = write_manifest(tmp_path, dataset_35, **{key: value})
+    assert dispatch(["generate", "--manifest", str(manifest)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# The defaults of the optional manifest keys as written out by hand before
+# they were derived from RunManifest, and for each key a manifest value that
+# differs from its default, with what it parses to.
+_OLD_MANIFEST_DEFAULTS = {
+    "seed": 0, "budget_usd": None, "provider": "http", "endpoint": "",
+    "api_key_env": "RESTORY_API_KEY", "cache_dir": "", "embedder": "synthetic:64",
+    "concurrency": 1, "few_shot_k": 3, "temperature": 0.0, "min_output_tokens": 50,
+    "repetition_penalty": 0.2, "max_output_tokens": 4096, "input_cost_per_mtok": None,
+    "output_cost_per_mtok": None, "retries": 3,
+}
+_MANIFEST_VALUES = {
+    "seed": ("7", 7), "budget_usd": ("2.5", 2.5), "provider": ("echo", "echo"),
+    "endpoint": ("http://127.0.0.1:9/v1", "http://127.0.0.1:9/v1"),
+    "api_key_env": ("OTHER_KEY", "OTHER_KEY"), "cache_dir": ("c", "c"),
+    "embedder": ("synthetic:8", "synthetic:8"), "concurrency": ("2", 2),
+    "few_shot_k": ("1", 1), "temperature": ("0.5", 0.5), "min_output_tokens": ("5", 5),
+    "repetition_penalty": ("1.5", 1.5), "max_output_tokens": ("100", 100),
+    "input_cost_per_mtok": ("0.1", 0.1), "output_cost_per_mtok": ("0", 0.0),
+    "retries": ("0", 0),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sets(st.sampled_from(sorted(_OLD_MANIFEST_DEFAULTS))))
+def test_manifest_keys_left_out_parse_to_the_old_defaults(tmp_path_factory, omitted):
+    required = {"dataset": "d.jsonl", "model": "m", "prompt": "zero", "output_dir": "out"}
+    given_keys = [key for key in _OLD_MANIFEST_DEFAULTS if key not in omitted]
+    path = tmp_path_factory.mktemp("manifest") / "run.manifest"
+    path.write_text("\n".join([f"{k} = {v}" for k, v in required.items()]
+                              + [f"{k} = {_MANIFEST_VALUES[k][0]}" for k in given_keys]) + "\n",
+                    encoding="utf-8")
+    expected = {**required, **{k: _OLD_MANIFEST_DEFAULTS[k] for k in omitted},
+                **{k: _MANIFEST_VALUES[k][1] for k in given_keys}}
+    assert dataclasses.asdict(parse_manifest(path)) == expected
 
 
 def test_generate_http_without_endpoint_exits_1(dataset_35, tmp_path):
@@ -316,16 +394,26 @@ def test_kappa_bad_file_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("[1, 2]", "expected a JSON object, got list"),
-     ('{"id": 1, "a": [1], "b": [1]}', "unhashable type: 'list'"),
-     ('{"id": 1, "a": "x", "b": {"y": 1}}', "unhashable type: 'dict'")],
+    [("[1, 2]", "line 2 is not an object"),
+     ('{"id": 1, "a": [1], "b": [1]}', "bad record on line 2: unhashable type: 'list'"),
+     ('{"id": 1, "a": "x", "b": {"y": 1}}', "bad record on line 2: unhashable type: 'dict'")],
     ids=["not-an-object", "list-labels", "dict-label"],
 )
 def test_kappa_bad_record_exits_2_naming_path_and_line(tmp_path, capsys, line, message):
     labels = tmp_path / "bad.jsonl"
     labels.write_text('{"id": 0, "a": "x", "b": "x"}\n' + line + "\n", encoding="utf-8")
     assert dispatch(["kappa", "--labels", str(labels)]) == 2
-    assert f"error: {labels}:2: bad label record: {message}" in capsys.readouterr().err
+    assert f"error: {labels}: {message}" in capsys.readouterr().err
+
+
+def test_calibrate_mistyped_pair_exits_2_naming_path_and_line(tmp_path, capsys):
+    good = {"candidate": "a b", "reference": "a b", "category": "twin-minimal"}
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps({**good, "candidate": 5}) + "\n",
+                     encoding="utf-8")
+    assert dispatch(["calibrate", "--pairs", str(pairs)]) == 2
+    expected = f"error: {pairs}: bad record on line 2: candidate 5 is not a string"
+    assert expected in capsys.readouterr().err
 
 
 def test_calibrate_prints_ordered_table(capsys):

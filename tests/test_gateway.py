@@ -89,6 +89,13 @@ def test_config_validation():
         GenerationConfig(min_output_tokens=200, max_output_tokens=100)
 
 
+@pytest.mark.parametrize("field", ["temperature", "repetition_penalty"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_config_rejects_non_finite_decoding_values(field, value):
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        GenerationConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # cache contract
 

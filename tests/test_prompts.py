@@ -162,6 +162,15 @@ def test_bundled_exemplars_are_small_and_valid():
     assert count_nloc(exemplars[0].code) < 30  # one-shot exemplar stays short
 
 
+def test_mistyped_exemplar_names_file_and_line(tmp_path):
+    path = tmp_path / "exemplars.jsonl"
+    path.write_text('{"code": "int x;", "story": "As a u, I want g."}\n'
+                    '{"code": 5, "story": "As a u, I want g."}\n', encoding="utf-8")
+    with pytest.raises(DataError) as exc_info:
+        load_exemplars(path)
+    assert str(exc_info.value) == f"{path}: bad record on line 2: code 5 is not a string"
+
+
 def test_undefined_variant_message_names_it():
     with pytest.raises(DataError, match="no-such-variant"):
         default_prompt_config("no-such-variant")

@@ -19,15 +19,14 @@ from restory.runner import (
     calibration_experiment,
     cohen_kappa,
     collect_report_rows,
-    emit_report,
     load_calibration_pairs,
     load_results,
-    read_report,
     run_experiment,
+    score_pair,
     write_report_rows,
 )
 
-from conftest import AlwaysFailingProvider, CountingProvider, make_dataset
+from conftest import AlwaysFailingProvider, CountingProvider, make_dataset, read_report
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
 
@@ -55,6 +54,37 @@ class EchoByPrompt:
         block = prompt_text.split("```")[-2]
         code = block.split("\n", 1)[1].rstrip("\n")
         return ProviderResponse(text=self._stories[code])
+
+
+# ---------------------------------------------------------------------------
+# scoring
+
+
+@pytest.mark.parametrize("candidate", ["", "a b"], ids=["empty", "non-empty"])
+def test_score_pair_rejects_an_unknown_metric_whatever_the_texts(candidate):
+    with pytest.raises(DataError, match="no-such-metric"):
+        score_pair(candidate, "a b", HashEmbedder(dim=8), ("no-such-metric",))
+
+
+def test_scorers_call_the_metric_functions_through_the_module(monkeypatch):
+    """Wrappers set on the runner module (as the benchmark's tracer sets
+    them) see every metric call."""
+    import restory.runner as runner
+
+    calls = dict.fromkeys(("bleu", "rouge_l", "greedy_embedding_score"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(runner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counting)
+    score_pair("sort the list", "sort a list", HashEmbedder(dim=8), tuple(runner.METRICS))
+    assert calls == {"bleu": 2, "rouge_l": 2, "greedy_embedding_score": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    pairs = load_calibration_pairs()
+    calibration_experiment(pairs, HashEmbedder(dim=8))
+    n = len(pairs)
+    assert calls == {"bleu": 2 * n, "rouge_l": 2 * n, "greedy_embedding_score": n}
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +316,8 @@ def test_aggregate_rejects_unknown_metric():
 
 def test_emit_report_csv_round_trip(tmp_path):
     records = [_record("a", 50, 0.6, 0.6), _record("b", 99, 1.0, 1.0)]
-    aggs = aggregate_by_band(records, "coarse3")
     path = tmp_path / "report.csv"
-    emit_report(aggs, records, path, "csv")
+    write_report_rows(collect_report_rows(records, "coarse3"), path, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "band,n,precision,recall,f1,scot,prompt,model,failures"
     assert len(lines) == 2  # header + one band
@@ -302,9 +331,8 @@ def test_emit_report_csv_round_trip(tmp_path):
 
 def test_emit_report_json_has_range_of_interest(tmp_path):
     records = [_record("a", 150, 0.7, 0.7)]
-    aggs = aggregate_by_band(records, "coarse3")
     path = tmp_path / "report.json"
-    emit_report(aggs, records, path, "json")
+    write_report_rows(collect_report_rows(records, "coarse3"), path, "json")
     import json
 
     doc = json.loads(path.read_text())
@@ -315,9 +343,8 @@ def test_emit_report_json_has_range_of_interest(tmp_path):
 
 def test_report_emission_is_deterministic(tmp_path):
     records = [_record("a", 50, 0.613, 0.727), _record("b", 222, 0.5, 0.5)]
-    aggs = aggregate_by_band(records, "coarse3")
-    emit_report(aggs, records, tmp_path / "r1.csv", "csv")
-    emit_report(aggs, records, tmp_path / "r2.csv", "csv")
+    write_report_rows(collect_report_rows(records, "coarse3"), tmp_path / "r1.csv", "csv")
+    write_report_rows(collect_report_rows(records, "coarse3"), tmp_path / "r2.csv", "csv")
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
@@ -333,13 +360,6 @@ def test_side_by_side_scot_report(tmp_path):
     write_report_rows(rows, tmp_path / "paired.csv", "csv")
     parsed = read_report(tmp_path / "paired.csv")
     assert {r["scot"] for r in parsed} == {True, False}
-
-
-def test_emit_report_rejects_mixed_runs(tmp_path):
-    mixed = [_record("a", 50, 0.8, 0.8, scot=False), _record("b", 60, 0.7, 0.7, scot=True)]
-    aggs = aggregate_by_band(mixed, "coarse3")
-    with pytest.raises(DataError):
-        emit_report(aggs, mixed, tmp_path / "x.csv", "csv")
 
 
 # ---------------------------------------------------------------------------
