@@ -256,7 +256,13 @@ def _cmd_generate(args) -> int:
     cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
     worst = EXIT_OK
     for variant in sorted(PROMPT_VARIANTS) if args.grid else [manifest.prompt]:
-        gateway = Gateway(
+        config = default_prompt_config(variant, few_k=manifest.few_shot_k)
+        exemplars = bundled_exemplars[: config.expected_exemplars]
+        if len(exemplars) < config.expected_exemplars:
+            raise DataError(
+                f"need {config.expected_exemplars} exemplars but only {len(exemplars)} bundled"
+            )
+        with Gateway(
             provider,
             model,
             generation,
@@ -264,23 +270,17 @@ def _cmd_generate(args) -> int:
             ledger_path=cache_dir / "ledger.csv",
             retries=manifest.retries,
             budget_usd=manifest.budget_usd,
-        )
-        config = default_prompt_config(variant, few_k=manifest.few_shot_k)
-        exemplars = bundled_exemplars[: config.expected_exemplars]
-        if len(exemplars) < config.expected_exemplars:
-            raise DataError(
-                f"need {config.expected_exemplars} exemplars but only {len(exemplars)} bundled"
+        ) as gateway:
+            result = runner.run_experiment(
+                dataset,
+                gateway,
+                config,
+                exemplars=exemplars,
+                embedder=embedder,
+                results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
+                prompt_label=variant,
+                concurrency=manifest.concurrency,
             )
-        result = runner.run_experiment(
-            dataset,
-            gateway,
-            config,
-            exemplars=exemplars,
-            embedder=embedder,
-            results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
-            prompt_label=variant,
-            concurrency=manifest.concurrency,
-        )
         print(
             f"{variant}: {len(result.records)} records, "
             f"{len(result.failures)} failures, {result.provider_calls} provider calls, "

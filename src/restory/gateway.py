@@ -279,31 +279,43 @@ class EchoProvider:
 
 
 class Ledger:
-    """Append-only CSV cost log: timestamp,model,input_tokens,output_tokens,cost_usd,cached."""
+    """Append-only CSV cost log: timestamp,model,input_tokens,output_tokens,cost_usd,cached.
+
+    The first row opens one append handle, which every later row reuses;
+    each row is flushed before `append` returns. `close` releases the
+    handle, and an append after it opens a new one.
+    """
 
     COLUMNS = ("timestamp", "model", "input_tokens", "output_tokens", "cost_usd", "cached")
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._fh = None
 
     def append(self, model_id: str, input_tokens: int, output_tokens: int,
                cost_usd: float, cached: bool) -> None:
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            new = not self.path.exists()
-            with open(self.path, "a", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                if new:
-                    writer.writerow(self.COLUMNS)
-                writer.writerow([
-                    datetime.now(timezone.utc).isoformat(),
-                    model_id,
-                    input_tokens,
-                    output_tokens,
-                    repr(cost_usd),
-                    str(cached).lower(),
-                ])
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self.path, "a", newline="", encoding="utf-8")
+                if self._fh.tell() == 0:  # a new or empty file
+                    csv.writer(self._fh).writerow(self.COLUMNS)
+            csv.writer(self._fh).writerow([
+                datetime.now(timezone.utc).isoformat(),
+                model_id,
+                input_tokens,
+                output_tokens,
+                repr(cost_usd),
+                str(cached).lower(),
+            ])
+            self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def total_cost(self) -> float:
         if not self.path.exists():
@@ -313,7 +325,10 @@ class Ledger:
 
 
 class Gateway:
-    """One model + one provider + shared cache, retry policy, and budget."""
+    """One model + one provider + shared cache, retry policy, and budget.
+
+    `close()`, or leaving a `with Gateway(...)` block, closes the ledger.
+    """
 
     def __init__(
         self,
@@ -341,29 +356,53 @@ class Gateway:
         self._lock = threading.Lock()
         self.spent_usd = 0.0
         self.provider_calls = 0
-
-    # -- cache ---------------------------------------------------------
-
-    def _cache_key(self, prompt_text: str) -> str:
-        payload = dumps({
+        # The cache key hashes the `dumps` of the model id, the decoding
+        # config and the prompt. Only the prompt varies, so the bytes before
+        # and after its JSON string are fixed here, once.
+        head, _, tail = dumps({
             "model": self.model.model_id,
             "temperature": self.config.temperature,
             "min_output_tokens": self.config.min_output_tokens,
             "repetition_penalty": self.config.repetition_penalty,
             "max_output_tokens": self.config.max_output_tokens,
-            "prompt": prompt_text,
-        })
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            "prompt": "",
+        }).partition('"prompt": ""')
+        self._key_prefix = hashlib.sha256((head + '"prompt": ').encode("utf-8"))
+        self._key_suffix = tail.encode("utf-8")
 
-    def _cache_path(self, key: str) -> Path | None:
-        return self.cache_dir / f"{key}.json" if self.cache_dir else None
+    def close(self) -> None:
+        if self.ledger:
+            self.ledger.close()
+
+    def __enter__(self) -> "Gateway":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- cache ---------------------------------------------------------
+
+    def _cache_key(self, prompt_text: str) -> str:
+        digest = self._key_prefix.copy()
+        digest.update(json.dumps(prompt_text, ensure_ascii=False).encode("utf-8"))
+        digest.update(self._key_suffix)
+        return digest.hexdigest()
+
+    def _cache_path(self, key: str) -> str | None:
+        # A string join: a `Path` per entry would parse its name and intern it.
+        return os.path.join(self.cache_dir, f"{key}.json") if self.cache_dir else None
 
     def _cache_load(self, key: str) -> CompletionResult | None:
         path = self._cache_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
-            return decode(CompletionResult, json.loads(path.read_text(encoding="utf-8")))
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
+            return None
+        try:
+            return decode(CompletionResult, json.loads(raw.decode("utf-8")))
         except (ValueError, TypeError, KeyError) as exc:
             # A miss: the provider's result overwrites the damaged entry.
             logger.warning("ignoring damaged cache entry %s: %s", path, exc)
@@ -373,10 +412,10 @@ class Gateway:
         path = self._cache_path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
         # A temporary file of its own per writer, so that writers of the same
         # key in a shared cache dir never write into each other's file.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=f"{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(dumps(vars(result)))

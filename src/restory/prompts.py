@@ -17,7 +17,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -104,6 +104,10 @@ class PromptConfig:
         return {"zero": 0, "one": 1, "few": self.few_k}[self.shots]
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property  # the config is frozen, so its digest is computed once
+    def _fingerprint(self) -> str:
         payload = dumps({
             "shots": self.shots,
             "k": self.expected_exemplars,
@@ -179,6 +183,17 @@ def load_scot_block(path: str | Path | None = None) -> str:
     return text.strip()
 
 
+# The bundled files never change, so each check runs once per config.
+@cache
+def _bundled_layout(config: PromptConfig) -> str:
+    return load_layout(None, config)
+
+
+@cache
+def _bundled_scot_block() -> str:
+    return load_scot_block(None)
+
+
 def _exemplar_block(exemplars: Sequence[Exemplar], language_tag: str) -> str:
     parts = []
     for i, ex in enumerate(exemplars, start=1):
@@ -205,8 +220,13 @@ def render_prompt(
     if not snippet.source_text.strip():
         raise EmptySnippetError(f"snippet {snippet.id} has empty source")
 
-    layout = load_layout(layout_path, config)
-    scot = load_scot_block(scot_block_path) if config.scot else ""
+    layout = _bundled_layout(config) if layout_path is None else load_layout(layout_path, config)
+    if not config.scot:
+        scot = ""
+    elif scot_block_path is None:
+        scot = _bundled_scot_block()
+    else:
+        scot = load_scot_block(scot_block_path)
     substitutions = {
         "directive": config.directive,
         "story_format_hint": config.story_format_hint,

@@ -142,11 +142,19 @@ class GenerationRecord:
         return decode(
             cls, {"prompt_label": "", "scot": False, **obj},
             scores=lambda line: {
-                name: ScoreTriple(t["precision"], t["recall"], t["f1"])
-                for name, t in line["scores"].items()
+                name: _score_triple(t) for name, t in line["scores"].items()
             },
             band=lambda line: FidelityBand(line["band"]),
         )
+
+
+def _score_triple(obj: dict) -> ScoreTriple:
+    values = obj["precision"], obj["recall"], obj["f1"]
+    for value in values:
+        # Parsed JSON holds exact classes: a bool is never a number here.
+        if value.__class__ is not float and value.__class__ is not int:
+            raise TypeError(f"score {value!r} is not a number")
+    return ScoreTriple(*values)
 
 
 @dataclass(frozen=True)

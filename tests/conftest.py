@@ -25,6 +25,22 @@ from restory.gateway import (
 )
 
 
+_open_gateways: list = []
+
+
+def close_at_teardown(gateway):
+    """`gateway`, closed when the current test ends, whether it passes or not."""
+    _open_gateways.append(gateway)
+    return gateway
+
+
+@pytest.fixture(autouse=True)
+def _close_open_gateways():
+    yield
+    while _open_gateways:
+        _open_gateways.pop().close()
+
+
 def make_cpp_source(nloc: int, tag: str = "v") -> str:
     """Straight-line C++ with exactly `nloc` code lines."""
     assert nloc >= 1

@@ -5,11 +5,20 @@ n-grams are counted with list.count over tuple slices, the geometric mean
 uses per-factor roots instead of log sums, the LCS is a memoized
 recursion instead of a DP table, and NLOC is counted by a per-character
 state machine instead of one regular expression.
+
+The rest are earlier versions of rewritten hot functions, kept unchanged
+so that properties can pin the rewrites to their exact outputs: the
+per-character tokenize loop, the BLEU that clipped over every candidate
+n-gram, and the cache key that serialised its whole payload per call.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import string
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -46,6 +55,78 @@ def oracle_bleu(
     if len(candidate) < len(reference):
         product *= math.exp(1.0 - len(reference) / len(candidate))
     return product
+
+
+_PUNCT = frozenset(string.punctuation)
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """The loop `tokenize` ran before its plain-word fast path, unchanged."""
+    out: list[str] = []
+    for raw in text.lower().split():
+        i, j = 0, len(raw)
+        lead: list[str] = []
+        while i < j and raw[i] in _PUNCT:
+            lead.append(raw[i])
+            i += 1
+        trail: list[str] = []
+        while j > i and raw[j - 1] in _PUNCT:
+            trail.append(raw[j - 1])
+            j -= 1
+        out.extend(lead)
+        if i < j:
+            out.append(raw[i:j])
+        out.extend(reversed(trail))
+    return out
+
+
+def oracle_bleu_counted(
+    candidate: Sequence[str],
+    reference: Sequence[str],
+    max_n: int = 4,
+    smoothing: bool = False,
+) -> float:
+    """The `bleu` that counted tuple slices and clipped over every candidate
+    n-gram, unchanged but for its empty-input warning: the reference for
+    its exact floats."""
+    if not candidate or not reference:
+        return 0.0
+
+    def counts(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        cand_counts = counts(candidate, n)
+        ref_counts = counts(reference, n)
+        clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        total = sum(cand_counts.values())
+        if smoothing and n >= 2:
+            clipped += 1
+            total += 1
+        if clipped == 0 or total == 0:
+            return 0.0
+        log_sum += math.log(clipped / total) / max_n
+
+    if len(candidate) < len(reference):
+        bp = math.exp(1 - len(reference) / len(candidate))
+    else:
+        bp = 1.0
+    return bp * math.exp(log_sum)
+
+
+def oracle_cache_key(model_id: str, config, prompt_text: str) -> str:
+    """The gateway cache key as derived from one sorted-keys JSON payload
+    per call, before the fixed prefix and suffix were precomputed."""
+    payload = json.dumps({
+        "model": model_id,
+        "temperature": config.temperature,
+        "min_output_tokens": config.min_output_tokens,
+        "repetition_penalty": config.repetition_penalty,
+        "max_output_tokens": config.max_output_tokens,
+        "prompt": prompt_text,
+    }, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def oracle_rouge_l(

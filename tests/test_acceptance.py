@@ -49,7 +49,7 @@ from restory.runner import (
     run_experiment,
 )
 
-from conftest import make_dataset, make_snippet
+from conftest import close_at_teardown, make_dataset, make_snippet
 from oracles import oracle_bleu, oracle_rouge_l
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
@@ -307,9 +307,10 @@ def test_end_to_end_hermetic_run(tmp_path):
 
     # echo provider: candidate == reference, every band Faithful
     echo = _EchoByPrompt(dataset)
-    gateway = Gateway(echo, MODEL, GenerationConfig(min_output_tokens=1),
-                      cache_dir=tmp_path / "cache",
-                      ledger_path=tmp_path / "ledger.csv", sleep=lambda s: None)
+    gateway = close_at_teardown(Gateway(echo, MODEL, GenerationConfig(min_output_tokens=1),
+                                        cache_dir=tmp_path / "cache",
+                                        ledger_path=tmp_path / "ledger.csv",
+                                        sleep=lambda s: None))
     first_path = tmp_path / "echo-cold.jsonl"
     cold = run_experiment(dataset, gateway, config, results_path=first_path,
                           prompt_label="zero")
@@ -322,9 +323,10 @@ def test_end_to_end_hermetic_run(tmp_path):
     vocab = set(tokenize(garbage))
     for rec in dataset:
         vocab |= set(tokenize(rec.reference_story))
-    garbage_gateway = Gateway(StaticProvider(garbage), MODEL,
-                              GenerationConfig(min_output_tokens=1),
-                              cache_dir=tmp_path / "garbage-cache", sleep=lambda s: None)
+    garbage_gateway = close_at_teardown(Gateway(StaticProvider(garbage), MODEL,
+                                                GenerationConfig(min_output_tokens=1),
+                                                cache_dir=tmp_path / "garbage-cache",
+                                                sleep=lambda s: None))
     divergent = run_experiment(dataset, garbage_gateway, config,
                                embedder=OneHotEmbedder(sorted(vocab)),
                                prompt_label="zero")
@@ -332,9 +334,10 @@ def test_end_to_end_hermetic_run(tmp_path):
 
     # warm rerun: zero provider calls, byte-identical results
     calls_before = echo.calls
-    warm_gateway = Gateway(echo, MODEL, GenerationConfig(min_output_tokens=1),
-                           cache_dir=tmp_path / "cache",
-                           ledger_path=tmp_path / "ledger.csv", sleep=lambda s: None)
+    warm_gateway = close_at_teardown(Gateway(echo, MODEL, GenerationConfig(min_output_tokens=1),
+                                             cache_dir=tmp_path / "cache",
+                                             ledger_path=tmp_path / "ledger.csv",
+                                             sleep=lambda s: None))
     second_path = tmp_path / "echo-warm.jsonl"
     warm = run_experiment(dataset, warm_gateway, config, results_path=second_path,
                           prompt_label="zero")
@@ -354,9 +357,11 @@ def test_cost_ledger(tmp_path):
     assert estimate_cost(1_000_000, 1_000_000, model_spec("llama-3.1-8b")) == 0.30
 
     dataset = make_dataset([5, 55, 305])
-    gateway = Gateway(_EchoByPrompt(dataset), MODEL, GenerationConfig(min_output_tokens=1),
-                      cache_dir=tmp_path / "cache",
-                      ledger_path=tmp_path / "ledger.csv", sleep=lambda s: None)
+    gateway = close_at_teardown(Gateway(_EchoByPrompt(dataset), MODEL,
+                                        GenerationConfig(min_output_tokens=1),
+                                        cache_dir=tmp_path / "cache",
+                                        ledger_path=tmp_path / "ledger.csv",
+                                        sleep=lambda s: None))
     before = gateway.ledger.total_cost()
     result = run_experiment(dataset, gateway, default_prompt_config("zero"))
     delta = gateway.ledger.total_cost() - before

@@ -344,6 +344,10 @@ _BAD_RESULT_LINES = {
                  "bad record on line 2: nloc 351 outside [1, 350]"),
     "zero-nloc-failure": (lambda rec: {"snippet_id": "x", "nloc": 0, "failure": "E"},
                           "bad record on line 2: nloc 0 outside [1, 350]"),
+    "bool-scores": (lambda rec: {**rec, "scores": {
+                        name: {"precision": True, "recall": True, "f1": True}
+                        for name in rec["scores"]}},
+                    "bad record on line 2: score True is not a number"),
 }
 
 

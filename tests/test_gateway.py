@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 import os
 import socket
+import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restory.errors import DataError
 from restory.gateway import (
@@ -29,7 +33,14 @@ from restory.gateway import (
 )
 from restory.prompts import default_prompt_config, load_exemplars, render_prompt
 
-from conftest import AlwaysFailingProvider, CountingProvider, FlakyProvider, make_snippet
+from conftest import (
+    AlwaysFailingProvider,
+    CountingProvider,
+    FlakyProvider,
+    close_at_teardown,
+    make_snippet,
+)
+from oracles import oracle_cache_key
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
 NOSLEEP = lambda s: None
@@ -38,8 +49,8 @@ NOSLEEP = lambda s: None
 def _gateway(provider, tmp_path=None, **kwargs):
     cache = tmp_path / "cache" if tmp_path else None
     ledger = tmp_path / "ledger.csv" if tmp_path else None
-    return Gateway(provider, MODEL, cache_dir=cache, ledger_path=ledger,
-                   sleep=NOSLEEP, **kwargs)
+    return close_at_teardown(Gateway(provider, MODEL, cache_dir=cache, ledger_path=ledger,
+                                     sleep=NOSLEEP, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +133,27 @@ def test_cache_key_depends_on_prompt_and_config(tmp_path):
                     cache_dir=tmp_path / "cache", sleep=NOSLEEP)
     other.complete("prompt one")  # different decoding config -> miss
     assert provider.calls == 3
+
+
+# Two (model, decoding config) pairs; the second model id holds the text the
+# key derivation splits its payload at, escaped as JSON escapes it.
+_KEY_CONFIGS = [
+    (MODEL, GenerationConfig()),
+    (ModelSpec('m\u00f6del "prompt": "" \\', 0.0, 0.0),
+     GenerationConfig(temperature=0.7, min_output_tokens=1, repetition_penalty=1.3,
+                      max_output_tokens=512)),
+]
+_KEY_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\n\r\t\u2028\xe9\u4e2d\U0001f600'), st.characters(),
+))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_KEY_CONFIGS), _KEY_TEXT)
+def test_cache_key_equals_the_whole_payload_derivation(model_and_config, prompt):
+    model, config = model_and_config
+    gateway = Gateway(CountingProvider(), model, config)
+    assert gateway._cache_key(prompt) == oracle_cache_key(model.model_id, config, prompt)
 
 
 def test_cache_idempotence_under_concurrency(tmp_path):
@@ -237,6 +269,102 @@ def test_ledger_rows_and_total(tmp_path):
     ledger = Ledger(tmp_path / "ledger.csv")
     assert abs(ledger.total_cost() - gateway.spent_usd) < 1e-12
     assert first.cost_usd > 0
+
+
+def _ledger_lines(path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def test_ledger_row_is_on_disk_after_each_append(tmp_path):
+    ledger = Ledger(tmp_path / "sub" / "ledger.csv")
+    try:
+        ledger.append("m", 1, 2, 0.5, cached=False)
+        lines = _ledger_lines(ledger.path)
+        assert lines[0] == ",".join(Ledger.COLUMNS)
+        assert len(lines) == 2 and lines[1].endswith(",m,1,2,0.5,false")
+        ledger.append("m", 3, 4, 0.0, cached=True)
+        assert len(_ledger_lines(ledger.path)) == 3
+    finally:
+        ledger.close()
+
+
+def test_ledger_header_is_written_once_across_close_and_reopen(tmp_path):
+    path = tmp_path / "ledger.csv"
+    ledger = Ledger(path)
+    ledger.append("m", 1, 1, 0.25, cached=False)
+    ledger.close()
+    ledger.append("m", 1, 1, 0.25, cached=False)  # reopens the file
+    ledger.close()
+    other = Ledger(path)
+    other.append("m", 1, 1, 0.25, cached=False)
+    other.close()
+    lines = _ledger_lines(path)
+    assert lines.count(",".join(Ledger.COLUMNS)) == 1 and len(lines) == 4
+    assert Ledger(path).total_cost() == 0.75
+
+
+def test_ledger_writes_its_header_into_an_empty_file(tmp_path):
+    path = tmp_path / "ledger.csv"
+    path.touch()
+    ledger = Ledger(path)
+    ledger.append("m", 1, 1, 0.5, cached=False)
+    ledger.close()
+    assert _ledger_lines(path)[0] == ",".join(Ledger.COLUMNS)
+    assert ledger.total_cost() == 0.5
+
+
+def test_ledger_close_is_idempotent(tmp_path):
+    ledger = Ledger(tmp_path / "ledger.csv")
+    ledger.close()  # nothing opened yet
+    ledger.append("m", 1, 1, 0.0, cached=True)
+    ledger.close()
+    ledger.close()
+    assert len(_ledger_lines(ledger.path)) == 2
+
+
+def test_ledger_concurrent_appends_lose_no_row(tmp_path):
+    ledger = Ledger(tmp_path / "ledger.csv")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(lambda i: ledger.append(f"m{i}", i, i, 0.0, cached=True), range(400)))
+    finally:
+        sys.setswitchinterval(interval)
+        ledger.close()
+    with open(ledger.path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(int(row["input_tokens"]) for row in rows) == list(range(400))
+    assert all(row["model"] == f"m{row['input_tokens']}" for row in rows)
+
+
+def _resource_warnings(tmp_path, use) -> list:
+    """ResourceWarnings seen once a gateway that wrote its ledger is gone."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        use(Gateway(CountingProvider(), MODEL, cache_dir=tmp_path / "cache",
+                    ledger_path=tmp_path / "ledger.csv"))
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_gateway_close_and_with_release_the_ledger(tmp_path):
+    def closed(gateway):
+        gateway.complete("p")
+        gateway.close()
+        gateway.close()
+
+    def with_block(gateway):
+        with gateway as same:
+            assert same is gateway
+            gateway.complete("p")
+
+    assert _resource_warnings(tmp_path / "a", closed) == []
+    assert _resource_warnings(tmp_path / "b", with_block) == []
+    # The control: a gateway dropped without close leaks its handle.
+    assert len(_resource_warnings(tmp_path / "c", lambda g: g.complete("p"))) == 1
+    for name in "abc":
+        assert len(_ledger_lines(tmp_path / name / "ledger.csv")) == 2
 
 
 def test_budget_exceeded_aborts_but_caches(tmp_path):

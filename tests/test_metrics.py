@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from restory.metrics import (
     tokenize,
 )
 
-from oracles import oracle_bag_max_match, oracle_bleu, oracle_rouge_l
+from oracles import (
+    oracle_bag_max_match,
+    oracle_bleu,
+    oracle_bleu_counted,
+    oracle_rouge_l,
+    oracle_tokenize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +60,17 @@ def test_tokenize_all_punctuation_word():
 def test_tokenize_idempotent_on_joined_output(text):
     once = tokenize(text)
     assert tokenize(" ".join(once)) == once
+
+
+# Punctuation, letters and whitespace that `str.split` splits on, some of it
+# beyond ASCII, so that words of every punctuation shape show up.
+_TOKENIZE_ALPHABET = string.punctuation + string.ascii_letters + " \t\n\xa0\u2028"
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=_TOKENIZE_ALPHABET, max_size=60))
+def test_tokenize_equals_the_per_character_loop(text):
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +156,22 @@ def test_bleu_rejects_bad_max_n():
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=10)
 
 
-@given(_tokens, _tokens, st.booleans())
-def test_bleu_matches_oracle(candidate, reference, smoothing):
-    got = bleu(candidate, reference, smoothing=smoothing)
-    want = oracle_bleu(candidate, reference, smoothing=smoothing)
+def _token_pairs(size):
+    words = st.lists(st.sampled_from([f"w{i}" for i in range(size)]), max_size=40)
+    return st.tuples(words, words)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([4, 30]).flatmap(_token_pairs), st.integers(1, 6), st.booleans())
+def test_bleu_matches_oracle(pair, max_n, smoothing):
+    candidate, reference = pair
+    if candidate and reference:
+        got = bleu(candidate, reference, max_n=max_n, smoothing=smoothing)
+    else:
+        with pytest.warns(RuntimeWarning):
+            got = bleu(candidate, reference, max_n=max_n, smoothing=smoothing)
+    assert got == oracle_bleu_counted(candidate, reference, max_n, smoothing)
+    want = oracle_bleu(candidate, reference, max_n, smoothing)
     assert abs(got - want) <= 1e-9
     assert 0.0 <= got <= 1.0
 
@@ -341,6 +371,16 @@ def test_embed_tokens_equals_embed(make, text):
     from_text = embedder.embed(text)
     assert from_tokens.tokens == from_text.tokens == tuple(tokenize(text))
     assert np.array_equal(from_tokens.vectors, from_text.vectors)
+
+
+@pytest.mark.parametrize("text", _EMBED_TEXTS)
+def test_hash_embed_tokens_equals_the_checked_constructor(text):
+    embedded = HashEmbedder(dim=16, salt=3).embed_tokens(tokenize(text))
+    checked = EmbeddedText(tokens=tuple(tokenize(text)), vectors=embedded.vectors.copy())
+    assert embedded.tokens == checked.tokens
+    assert embedded.vectors.dtype == checked.vectors.dtype == np.float64
+    assert embedded.vectors.shape == checked.vectors.shape == (len(checked), 16)
+    assert np.array_equal(embedded.vectors, checked.vectors)
 
 
 def test_one_hot_embedder_rejects_unknown_token():

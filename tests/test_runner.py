@@ -26,7 +26,13 @@ from restory.runner import (
     write_report_rows,
 )
 
-from conftest import AlwaysFailingProvider, CountingProvider, make_dataset, read_report
+from conftest import (
+    AlwaysFailingProvider,
+    CountingProvider,
+    close_at_teardown,
+    make_dataset,
+    read_report,
+)
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
 
@@ -34,9 +40,10 @@ MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
 def _gateway(provider, tmp_path, **kwargs):
     from restory.gateway import GenerationConfig
 
-    return Gateway(provider, MODEL, GenerationConfig(min_output_tokens=1),
-                   cache_dir=tmp_path / "cache",
-                   ledger_path=tmp_path / "ledger.csv", sleep=lambda s: None, **kwargs)
+    return close_at_teardown(Gateway(provider, MODEL, GenerationConfig(min_output_tokens=1),
+                                     cache_dir=tmp_path / "cache",
+                                     ledger_path=tmp_path / "ledger.csv",
+                                     sleep=lambda s: None, **kwargs))
 
 
 class EchoByPrompt:
