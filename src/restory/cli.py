@@ -3,7 +3,8 @@
 Subcommands: profile, sample, generate, evaluate, calibrate, kappa,
 report. Exit codes: 0 success, 1 usage error, 2 data error, 3
 provider/budget error. Generation runs are driven by a flat key=value
-manifest file; credentials come from environment variables only.
+manifest file; credentials come from environment variables only. Each
+subcommand imports the modules it runs, to keep a fresh process short.
 """
 
 from __future__ import annotations
@@ -14,19 +15,9 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from . import corpus, runner
+from . import corpus
 from .errors import DataError, GatewayError
-from .gateway import (
-    EchoProvider,
-    Gateway,
-    GenerationConfig,
-    HttpProvider,
-    ModelSpec,
-    StaticProvider,
-    model_spec,
-)
 from .jsonl import read_jsonl
-from .metrics import HashEmbedder
 from .prompts import PROMPT_VARIANTS, default_prompt_config, load_exemplars
 
 EXIT_OK = 0
@@ -51,7 +42,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("profile", help="measure NLOC for source files and emit CSV")
     p.add_argument("directory")
     p.add_argument("--glob", default="**/*.cpp")
-    p.add_argument("--language", default="cpp")
+    p.add_argument("--language", choices=corpus.SUPPORTED_LANGUAGES, default="cpp")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sample", help="stratified sampling of a dataset")
@@ -67,8 +58,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="aggregate a results file by NLOC band")
     p.add_argument("--results", required=True)
-    p.add_argument("--scheme", choices=runner.SCHEMES, default="coarse3")
-    p.add_argument("--metric", default=runner.GREEDY_METRIC)
+    p.add_argument("--scheme", choices=corpus.SCHEMES, default="coarse3")
+    p.add_argument("--metric", default=corpus.GREEDY_METRIC)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("calibrate", help="metric means over curated text-pair categories")
@@ -82,7 +73,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="emit CSV/JSON band reports from results files")
     p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--scheme", choices=runner.SCHEMES, default="coarse3")
+    p.add_argument("--scheme", choices=corpus.SCHEMES, default="coarse3")
     p.add_argument("--out", required=True)
 
     return parser
@@ -132,7 +123,11 @@ def parse_manifest(path: str | Path) -> RunManifest:
     required, and the rest default to RunManifest's values."""
     known = {f.name: f for f in fields(RunManifest)}
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: manifest is not UTF-8: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -163,32 +158,27 @@ def parse_manifest(path: str | Path) -> RunManifest:
     return manifest
 
 
-def _resolve_model(manifest: RunManifest) -> ModelSpec:
-    if manifest.input_cost_per_mtok is not None and manifest.output_cost_per_mtok is not None:
-        return ModelSpec(manifest.model, manifest.input_cost_per_mtok,
-                         manifest.output_cost_per_mtok)
-    return model_spec(manifest.model)
-
-
 def _resolve_provider(manifest: RunManifest, dataset):
+    from . import gateway
     if manifest.provider == "http":
         if not manifest.endpoint:
             raise UsageError("provider = http requires an endpoint key in the manifest")
-        return HttpProvider(manifest.endpoint, api_key_env=manifest.api_key_env)
+        return gateway.HttpProvider(manifest.endpoint, api_key_env=manifest.api_key_env)
     if manifest.provider == "echo":
-        return EchoProvider(
+        return gateway.EchoProvider(
             {rec.snippet.source_text: rec.reference_story for rec in dataset}
         )
     if manifest.provider.startswith("static:"):
-        return StaticProvider(manifest.provider[len("static:"):])
+        return gateway.StaticProvider(manifest.provider[len("static:"):])
     raise UsageError(f"unknown provider {manifest.provider!r}; use http, echo, or static:<text>")
 
 
-def _resolve_embedder(spec: str, seed: int) -> HashEmbedder:
-    if spec.startswith("synthetic"):
-        dim = int(spec.split(":", 1)[1]) if ":" in spec else 64
-        return HashEmbedder(dim=dim, salt=seed)
-    raise UsageError(f"unknown embedder {spec!r}; use synthetic[:dim]")
+def _resolve_embedder(spec: str, seed: int):
+    name, colon, dim = spec.partition(":")
+    if name == "synthetic" and (not colon or dim.isdecimal() and int(dim) > 0):
+        from .metrics import HashEmbedder
+        return HashEmbedder(dim=int(dim) if colon else 64, salt=seed)
+    raise UsageError(f"unknown embedder {spec!r}; use synthetic or synthetic:<positive int>")
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +228,18 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import runner
+    from .gateway import Gateway, GenerationConfig, ModelSpec, model_spec
     manifest = parse_manifest(args.manifest)
+    embedder = _resolve_embedder(manifest.embedder, manifest.seed)
     # Loaded and resolved once for every variant of a grid; each variant
     # keeps its own Gateway, so a budget still applies per variant.
     dataset = corpus.load_dataset(manifest.dataset)
-    model = _resolve_model(manifest)
+    if manifest.input_cost_per_mtok is not None and manifest.output_cost_per_mtok is not None:
+        model = ModelSpec(manifest.model, manifest.input_cost_per_mtok,
+                          manifest.output_cost_per_mtok)
+    else:
+        model = model_spec(manifest.model)
     provider = _resolve_provider(manifest, dataset)
     generation = GenerationConfig(
         temperature=manifest.temperature,
@@ -250,7 +247,6 @@ def _cmd_generate(args) -> int:
         repetition_penalty=manifest.repetition_penalty,
         max_output_tokens=manifest.max_output_tokens,
     )
-    embedder = _resolve_embedder(manifest.embedder, manifest.seed)
     bundled_exemplars = load_exemplars()
     base_dir = Path(manifest.output_dir)
     cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
@@ -293,6 +289,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import runner
     records, failures = runner.load_results(args.results)
     if not records:
         raise DataError(f"{args.results}: no scored records")
@@ -309,6 +306,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import runner
+    from .metrics import HashEmbedder
     pairs = runner.load_calibration_pairs(args.pairs)
     rows = runner.calibration_experiment(pairs, HashEmbedder(dim=args.dim))
     lines = ["metric,variant," + ",".join(runner.CALIBRATION_CATEGORIES)]
@@ -327,6 +326,7 @@ def _label_row(obj: dict) -> tuple:
 
 
 def _cmd_kappa(args) -> int:
+    from . import runner
     rows = [row for _, row in read_jsonl(args.labels, _label_row)]
     ids, labels_a, labels_b = zip(*rows) if rows else ((), (), ())
     value = runner.cohen_kappa(runner.AnnotationSet(ids, labels_a, labels_b))
@@ -335,6 +335,7 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import runner
     all_rows: list[dict] = []
     for path in args.inputs:
         records, failures = runner.load_results(path)

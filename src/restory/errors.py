@@ -1,7 +1,8 @@
 """Shared exception bases.
 
-Concrete errors live next to the code that raises them; the CLI maps
-these bases onto exit codes (data problems vs. provider/budget problems).
+Concrete errors live next to the code that raises them, but for
+BudgetExceededError, which the runner catches without loading the gateway.
+The CLI maps the bases onto exit codes (data vs. provider/budget problems).
 """
 
 
@@ -15,3 +16,7 @@ class DataError(RestoryError):
 
 class GatewayError(RestoryError):
     """Provider transport, rejection, or budget failures."""
+
+
+class BudgetExceededError(GatewayError):
+    """A run's spend reached its budget ceiling."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import DataError, GatewayError
+from .errors import BudgetExceededError, DataError, GatewayError
 from .jsonl import decode, dumps
 from .prompts import RenderedPrompt, estimate_tokens
 
@@ -46,10 +46,6 @@ class ProviderRejectedError(GatewayError):
 
 class TransientExhaustedError(GatewayError):
     """All retries spent on transient failures."""
-
-
-class BudgetExceededError(GatewayError):
-    pass
 
 
 class UnknownModelError(DataError):

@@ -9,7 +9,6 @@ emission time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import string
 import warnings as _warnings
@@ -433,6 +432,8 @@ class HashEmbedder:
     def _vector(self, token: str) -> np.ndarray:
         vec = self._cache.get(token)
         if vec is None:
+            import hashlib
+
             import numpy as np
 
             digest = hashlib.sha256(f"{self.salt}:{token}".encode("utf-8")).digest()

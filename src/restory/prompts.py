@@ -13,7 +13,6 @@ mention all three control-flow primitives (sequence, branch, loop).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -108,6 +107,7 @@ class PromptConfig:
 
     @cached_property  # the config is frozen, so its digest is computed once
     def _fingerprint(self) -> str:
+        import hashlib
         payload = dumps({
             "shots": self.shots,
             "k": self.expected_exemplars,

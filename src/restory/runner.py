@@ -11,15 +11,13 @@ so partial files are valid prefixes and warm-cache reruns are byte-stable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .corpus import MAX_NLOC, STRATA, DatasetRecord
-from .errors import DataError
-from .gateway import BudgetExceededError, Gateway, GatewayError
+from .corpus import GREEDY_METRIC, MAX_NLOC, SCHEMES, STRATA, DatasetRecord
+from .errors import BudgetExceededError, DataError, GatewayError
 from .jsonl import decode, dumps, read_jsonl
 from .metrics import (
     FidelityBand,
@@ -34,13 +32,13 @@ from .metrics import (
 from .prompts import Exemplar, PromptConfig, render_prompt
 from .story import canonical_text, parse_stories
 
-GREEDY_METRIC = "greedy-embedding"
+if TYPE_CHECKING:
+    from .gateway import Gateway
+
 DEFAULT_METRICS = (GREEDY_METRIC, "bleu", "rouge-l")
 
 COARSE_BANDS = (("1-100", 1, 100), ("101-200", 101, 200), ("201-350", 201, 350))
 RANGE_OF_INTEREST = "101-200"
-
-SCHEMES = ("coarse3", "per-stratum")
 
 
 class AnnotationError(DataError):
@@ -280,6 +278,7 @@ def run_experiment(
                 except GatewayError as exc:
                     record_failure(entry, exc)
         else:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
                 futures = [(entry, pool.submit(generate, entry)) for entry in dataset]
                 for entry, future in futures:
@@ -328,7 +327,7 @@ def _bands_for_scheme(scheme: str) -> list[tuple[str, int, int]]:
         return list(COARSE_BANDS)
     if scheme == "per-stratum":
         return [(s.label, s.lower, s.upper) for s in STRATA]
-    raise DataError(f"unknown aggregation scheme {scheme!r}; choose coarse3 or per-stratum")
+    raise DataError(f"unknown aggregation scheme {scheme!r}; choose {' or '.join(SCHEMES)}")
 
 
 def aggregate_by_band(

@@ -9,7 +9,8 @@ state machine instead of one regular expression.
 The rest are earlier versions of rewritten hot functions, kept unchanged
 so that properties can pin the rewrites to their exact outputs: the
 per-character tokenize loop, the BLEU that clipped over every candidate
-n-gram, and the cache key that serialised its whole payload per call.
+n-gram, the cache key that serialised its whole payload per call, and the
+snippet check that built every line list to count physical lines.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def oracle_cache_key(model_id: str, config, prompt_text: str) -> str:
         "prompt": prompt_text,
     }, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def oracle_exceeds_physical_lines(source_text: str, nloc: int) -> bool:
+    """Whether `CodeSnippet` rejects `nloc` for `source_text`, as decided
+    from the full `splitlines()` list on every record."""
+    return nloc > len(source_text.splitlines())
 
 
 def oracle_rouge_l(

@@ -58,6 +58,13 @@ def test_profile_skips_unlexable_files_with_warning(tmp_path, capsys):
     assert "broken.cpp" not in captured.out
 
 
+def test_profile_unsupported_language_exits_1(tmp_path, capsys):
+    (tmp_path / "a.cpp").write_text(make_cpp_source(2), encoding="utf-8")
+    assert dispatch(["profile", str(tmp_path), "--language", "rust"]) == 1
+    captured = capsys.readouterr()
+    assert "'rust'" in captured.err and not captured.out
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -271,6 +278,14 @@ def test_manifest_keys_left_out_parse_to_the_old_defaults(tmp_path_factory, omit
     assert dataclasses.asdict(parse_manifest(path)) == expected
 
 
+@pytest.mark.parametrize(
+    "spec", ["synthetic:abc", "synthetic:", "synthetic:0", "synthetic:-3", "synthetic64", "glove"])
+def test_generate_bad_embedder_exits_1_before_reading_the_dataset(tmp_path, capsys, spec):
+    manifest = write_manifest(tmp_path, tmp_path / "missing.jsonl", embedder=spec)
+    assert dispatch(["generate", "--manifest", str(manifest)]) == 1
+    assert f"unknown embedder {spec!r}" in capsys.readouterr().err
+
+
 def test_generate_http_without_endpoint_exits_1(dataset_35, tmp_path):
     manifest = write_manifest(tmp_path, dataset_35, provider="http")
     assert dispatch(["generate", "--manifest", str(manifest)]) == 1
@@ -418,6 +433,35 @@ def test_calibrate_mistyped_pair_exits_2_naming_path_and_line(tmp_path, capsys):
     assert dispatch(["calibrate", "--pairs", str(pairs)]) == 2
     expected = f"error: {pairs}: bad record on line 2: candidate 5 is not a string"
     assert expected in capsys.readouterr().err
+
+
+# Each command's JSON Lines input, as argv for an input at `path`.
+_JSONL_INPUTS = {
+    "evaluate": lambda path, tmp: ["evaluate", "--results", str(path)],
+    "report": lambda path, tmp: ["report", "--in", str(path), "--out", str(tmp / "r.csv")],
+    "kappa": lambda path, tmp: ["kappa", "--labels", str(path)],
+    "sample": lambda path, tmp: ["sample", "--in", str(path), "--per-stratum", "1",
+                                 "--seed", "1"],
+    "calibrate": lambda path, tmp: ["calibrate", "--pairs", str(path)],
+    "generate": lambda path, tmp: ["generate", "--manifest", str(write_manifest(tmp, path))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSONL_INPUTS))
+@pytest.mark.parametrize("content, lineno", [(b"\xff\n", 1), (b"\r\n\r\r\n\xff\n", 4)],
+                         ids=["first-line", "after-crlf-and-cr"])
+def test_non_utf8_input_exits_2_naming_path_and_line(tmp_path, capsys, command, content, lineno):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(content)
+    assert dispatch(_JSONL_INPUTS[command](path, tmp_path)) == 2
+    assert f"error: {path}: line {lineno} is not UTF-8: " in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_exits_1_naming_it(dataset_35, tmp_path, capsys):
+    manifest = write_manifest(tmp_path, dataset_35)
+    manifest.write_bytes(manifest.read_bytes() + b"# caf\xe9\n")
+    assert dispatch(["generate", "--manifest", str(manifest)]) == 1
+    assert f"{manifest}: manifest is not UTF-8: " in capsys.readouterr().err
 
 
 def test_calibrate_prints_ordered_table(capsys):

@@ -21,7 +21,7 @@ from restory.corpus import (
 from restory.errors import DataError
 
 from conftest import make_cpp_source, make_dataset, make_snippet
-from oracles import oracle_count_nloc
+from oracles import oracle_count_nloc, oracle_exceeds_physical_lines
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,32 @@ def test_snippet_invariants_enforced():
         CodeSnippet(
             id="a", source_text=make_cpp_source(15), language_tag="cpp", nloc=15, stratum_index=0
         )
+
+
+# Every line boundary `str.splitlines` knows, besides plain text.
+_line_text = st.lists(
+    st.sampled_from(["x", "xxx", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                     "\x1e", "\x85", "\u2028", "\u2029"]),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_line_text, st.integers(min_value=-1, max_value=2))
+def test_physical_line_check_equals_the_line_list_check(text, past):
+    nloc = max(1, len(text.splitlines()) + past)  # at the boundary the check decides
+
+    def build():
+        return CodeSnippet(id="s", source_text=text, language_tag="cpp", nloc=nloc,
+                           stratum_index=stratum_for_nloc(nloc))
+
+    if oracle_exceeds_physical_lines(text, nloc):
+        message = f"snippet s: nloc {nloc} exceeds {len(text.splitlines())} physical lines"
+        with pytest.raises(DataError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+    else:
+        assert build().nloc == nloc
 
 
 def test_from_source_rejects_beyond_design_range():
