@@ -127,6 +127,8 @@ def parse_manifest(path: str | Path) -> RunManifest:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: manifest is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read manifest: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -208,8 +208,6 @@ def sample_stratified(
         raise DataError("per_stratum must be >= 1")
     groups: dict[int, list[CodeSnippet]] = {}
     for snip in corpus:
-        if not 1 <= snip.nloc <= MAX_NLOC:
-            raise NlocRangeError(f"snippet {snip.id}: nloc {snip.nloc} outside [1, {MAX_NLOC}]")
         groups.setdefault(snip.stratum_index, []).append(snip)
 
     deficient = [

@@ -77,35 +77,30 @@ def read_jsonl(path, build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     does a KeyError, TypeError, ValueError, AttributeError or DataError
     from `build`; each message names the file and the line.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise DataError(f"{path}: line {lineno} is not an object")
-                try:
-                    record = build(obj)
-                except KeyError as exc:
-                    raise DataError(f"{path}: line {lineno} missing key {exc}") from exc
-                except (TypeError, ValueError, AttributeError, DataError) as exc:
-                    raise DataError(f"{path}: bad record on line {lineno}: {exc}") from exc
-                yield lineno, record
-        except UnicodeDecodeError:
-            # The text reader decodes ahead of its lines, so split the bytes as
-            # it splits them ("\n", "\r\n" or "\r") to find the bad line.
-            with open(path, "rb") as binary:
-                lines = binary.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-            for lineno, raw in enumerate(lines, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(f"{path}: line {lineno} is not UTF-8: {exc}") from exc
-            raise
+    with open(path, "rb") as fh:
+        # Split as the text reader splits ("\n", "\r\n" or "\r"), but decode
+        # each line only when it is reached, so faults come in file order.
+        lines = (raw for chunk in fh for raw in chunk.splitlines())
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: line {lineno} is not UTF-8: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {lineno} is not an object")
+            try:
+                record = build(obj)
+            except KeyError as exc:
+                raise DataError(f"{path}: line {lineno} missing key {exc}") from exc
+            except (TypeError, ValueError, AttributeError, DataError) as exc:
+                raise DataError(f"{path}: bad record on line {lineno}: {exc}") from exc
+            yield lineno, record
 
 
 def dumps(obj: dict) -> str:

@@ -207,8 +207,6 @@ def render_prompt(
     config: PromptConfig,
     snippet: CodeSnippet,
     exemplars: Sequence[Exemplar] = (),
-    layout_path: str | Path | None = None,
-    scot_block_path: str | Path | None = None,
 ) -> RenderedPrompt:
     """Assemble the prompt text for one snippet. Pure: identical inputs give
     byte-identical text."""
@@ -220,21 +218,14 @@ def render_prompt(
     if not snippet.source_text.strip():
         raise EmptySnippetError(f"snippet {snippet.id} has empty source")
 
-    layout = _bundled_layout(config) if layout_path is None else load_layout(layout_path, config)
-    if not config.scot:
-        scot = ""
-    elif scot_block_path is None:
-        scot = _bundled_scot_block()
-    else:
-        scot = load_scot_block(scot_block_path)
     substitutions = {
         "directive": config.directive,
         "story_format_hint": config.story_format_hint,
-        "scot_block": scot,
+        "scot_block": _bundled_scot_block() if config.scot else "",
         "exemplars": _exemplar_block(exemplars, snippet.language_tag),
         "code": f"```{snippet.language_tag}\n{snippet.source_text.rstrip()}\n```",
     }
-    text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], layout)
+    text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], _bundled_layout(config))
     text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
     if not text.startswith(config.directive):
         raise TemplateError("rendered prompt does not begin with the directive")

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import GREEDY_METRIC, MAX_NLOC, SCHEMES, STRATA, DatasetRecord
+from .corpus import GREEDY_METRIC, SCHEMES, STRATA, DatasetRecord, stratum_for_nloc
 from .errors import BudgetExceededError, DataError, GatewayError
 from .jsonl import decode, dumps, read_jsonl
 from .metrics import (
@@ -124,6 +124,7 @@ class GenerationRecord:
                     f"record {self.snippet_id}: band {self.band.value} inconsistent "
                     f"with {GREEDY_METRIC} f1"
                 )
+        stratum_for_nloc(self.nloc)
 
     def to_json(self) -> str:
         return dumps({
@@ -161,6 +162,9 @@ class FailureRecord:
     nloc: int
     failure: str
 
+    def __post_init__(self):
+        stratum_for_nloc(self.nloc)
+
     def to_json(self) -> str:
         return dumps(vars(self))
 
@@ -174,10 +178,7 @@ class RunResult:
 
 
 def _result_from_dict(obj: dict) -> GenerationRecord | FailureRecord:
-    record = decode(FailureRecord, obj) if "failure" in obj else GenerationRecord.from_dict(obj)
-    if not 1 <= record.nloc <= MAX_NLOC:
-        raise ValueError(f"nloc {record.nloc} outside [1, {MAX_NLOC}]")
-    return record
+    return decode(FailureRecord, obj) if "failure" in obj else GenerationRecord.from_dict(obj)
 
 
 def load_results(path: str | Path) -> tuple[list[GenerationRecord], list[FailureRecord]]:
@@ -206,8 +207,9 @@ def run_experiment(
     """Generate and score one candidate story per dataset entry.
 
     Provider failures after retries are recorded per entry and the run
-    continues; a budget overrun aborts after flushing everything completed
-    so far. Records are written (and returned) in dataset order.
+    continues; a budget overrun cancels the pending work and aborts after
+    flushing everything completed so far. Records are written (and
+    returned) in dataset order at any concurrency.
     """
     if not dataset:
         raise DataError("dataset is empty")
@@ -217,32 +219,27 @@ def run_experiment(
     if GREEDY_METRIC not in metric_names:
         metric_names = (GREEDY_METRIC,) + metric_names
 
-    out_fh = None
-    if results_path is not None:
-        results_path = Path(results_path)
-        results_path.parent.mkdir(parents=True, exist_ok=True)
-        out_fh = open(results_path, "w", encoding="utf-8")
-
     records: list[GenerationRecord] = []
     failures: list[FailureRecord] = []
     spent_before = gateway.spent_usd
     calls_before = gateway.provider_calls
 
     def generate(entry: DatasetRecord):
+        """(rendered prompt, completion), or the GatewayError that ended the call."""
         rendered = render_prompt(prompt_config, entry.snippet, exemplars)
-        return rendered, gateway.complete(rendered)
+        try:
+            return rendered, gateway.complete(rendered)
+        except GatewayError as exc:
+            return exc
 
-    def consume(entry: DatasetRecord, outcome) -> None:
-        rendered, completion = outcome
+    def scored(entry: DatasetRecord, rendered, completion) -> GenerationRecord:
         stories = parse_stories(completion.text)
         if stories:
             candidate = " ".join(canonical_text(s) for s in stories)
-            fallback = False
         else:
             candidate = completion.text
-            fallback = True
         scores = score_pair(candidate, entry.reference_story, embedder, metric_names)
-        record = GenerationRecord(
+        return GenerationRecord(
             snippet_id=entry.snippet.id,
             nloc=entry.snippet.nloc,
             model_id=gateway.model.model_id,
@@ -253,44 +250,37 @@ def run_experiment(
             scores=scores,
             band=classify_fidelity(scores[GREEDY_METRIC].f1),
             cost_usd=completion.cost_usd,
-            parse_fallback=fallback,
+            parse_fallback=not stories,
             multi_story=len(stories) > 1,
         )
-        records.append(record)
-        if out_fh:
-            out_fh.write(record.to_json() + "\n")
-            out_fh.flush()
 
-    def record_failure(entry: DatasetRecord, exc: GatewayError) -> None:
-        failure = FailureRecord(entry.snippet.id, entry.snippet.nloc, str(exc))
-        failures.append(failure)
-        if out_fh:
-            out_fh.write(failure.to_json() + "\n")
-            out_fh.flush()
-
+    out_fh = pool = None
     try:
-        if concurrency <= 1:
-            for entry in dataset:
-                try:
-                    consume(entry, generate(entry))
-                except BudgetExceededError:
-                    raise
-                except GatewayError as exc:
-                    record_failure(entry, exc)
-        else:
+        if results_path is not None:
+            results_path = Path(results_path)
+            results_path.parent.mkdir(parents=True, exist_ok=True)
+            out_fh = open(results_path, "w", encoding="utf-8")
+        if concurrency > 1:
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                futures = [(entry, pool.submit(generate, entry)) for entry in dataset]
-                for entry, future in futures:
-                    try:
-                        consume(entry, future.result())
-                    except BudgetExceededError:
-                        for _, f in futures:
-                            f.cancel()
-                        raise
-                    except GatewayError as exc:
-                        record_failure(entry, exc)
+            pool = ThreadPoolExecutor(max_workers=concurrency)
+        # Outcomes arrive in dataset order either way; the pool only runs
+        # generation ahead of this loop.
+        outcomes = pool.map(generate, dataset) if pool else map(generate, dataset)
+        for entry, outcome in zip(dataset, outcomes):
+            if isinstance(outcome, BudgetExceededError):
+                raise outcome
+            if isinstance(outcome, GatewayError):
+                record = FailureRecord(entry.snippet.id, entry.snippet.nloc, str(outcome))
+                failures.append(record)
+            else:
+                record = scored(entry, *outcome)
+                records.append(record)
+            if out_fh:
+                out_fh.write(record.to_json() + "\n")
+                out_fh.flush()
     finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
         if out_fh:
             out_fh.close()
 
@@ -345,8 +335,6 @@ def aggregate_by_band(
     bands = _bands_for_scheme(scheme)
 
     def band_of(nloc: int) -> int:
-        if not 1 <= nloc <= MAX_NLOC:
-            raise DataError(f"record nloc {nloc} outside [1, {MAX_NLOC}]")
         for i, (_, lo, hi) in enumerate(bands):
             if lo <= nloc <= hi:
                 return i

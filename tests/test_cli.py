@@ -457,6 +457,22 @@ def test_non_utf8_input_exits_2_naming_path_and_line(tmp_path, capsys, command, 
     assert f"error: {path}: line {lineno} is not UTF-8: " in capsys.readouterr().err
 
 
+def test_malformed_line_is_reported_before_a_later_non_utf8_line(tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes(b"{nope\n\xff\n")
+    assert dispatch(["kappa", "--labels", str(labels)]) == 2
+    assert f"error: {labels}: malformed JSON on line 1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_manifest_exits_1_naming_it(tmp_path, capsys, kind):
+    manifest = tmp_path / "run.manifest"
+    if kind == "directory":
+        manifest.mkdir()
+    assert dispatch(["generate", "--manifest", str(manifest)]) == 1
+    assert f"{manifest}: cannot read manifest: " in capsys.readouterr().err
+
+
 def test_non_utf8_manifest_exits_1_naming_it(dataset_35, tmp_path, capsys):
     manifest = write_manifest(tmp_path, dataset_35)
     manifest.write_bytes(manifest.read_bytes() + b"# caf\xe9\n")

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from restory.errors import DataError
-from restory.gateway import BudgetExceededError, Gateway, ModelSpec
+from restory.gateway import BudgetExceededError, Gateway, ModelSpec, ProviderRejectedError
 from restory.metrics import FidelityBand, HashEmbedder, OneHotEmbedder, ScoreTriple, tokenize
-from restory.prompts import default_prompt_config
+from restory.prompts import ExemplarCountError, default_prompt_config
 from restory.runner import (
     AnnotationSet,
     CalibrationPair,
@@ -46,6 +48,11 @@ def _gateway(provider, tmp_path, **kwargs):
                                      sleep=lambda s: None, **kwargs))
 
 
+def _prompt_code(prompt_text: str) -> str:
+    """The snippet code that a rendered prompt embeds."""
+    return prompt_text.split("```")[-2].split("\n", 1)[1].rstrip("\n")
+
+
 class EchoByPrompt:
     """Returns the reference story for whichever snippet the prompt embeds."""
 
@@ -58,9 +65,7 @@ class EchoByPrompt:
         from restory.gateway import ProviderResponse
 
         self.calls += 1
-        block = prompt_text.split("```")[-2]
-        code = block.split("\n", 1)[1].rstrip("\n")
-        return ProviderResponse(text=self._stories[code])
+        return ProviderResponse(text=self._stories[_prompt_code(prompt_text)])
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +230,75 @@ def test_concurrent_run_matches_serial(tmp_path):
     assert threaded.records == serial.records
 
 
+class RejectingEchoByPrompt(EchoByPrompt):
+    """EchoByPrompt that permanently rejects the prompts of `rejected` records."""
+
+    def __init__(self, dataset, rejected):
+        super().__init__(dataset)
+        self._rejected = {rec.snippet.source_text.rstrip("\n") for rec in rejected}
+
+    def generate(self, model_id, prompt_text, config):
+        if _prompt_code(prompt_text) in self._rejected:
+            raise ProviderRejectedError("synthetic rejection")
+        return super().generate(model_id, prompt_text, config)
+
+
+def _serial_bytes(dataset, provider, tmp_path) -> bytes:
+    path = tmp_path / "serial.jsonl"
+    run_experiment(dataset, _gateway(provider, tmp_path / "serial"),
+                   default_prompt_config("zero"), results_path=path, prompt_label="zero")
+    return path.read_bytes()
+
+
+def test_concurrent_budget_abort_leaves_a_prefix_of_the_serial_file(tmp_path):
+    dataset = make_dataset([5, 15, 25, 35, 45])
+    serial = _serial_bytes(dataset, EchoByPrompt(dataset), tmp_path)
+    costs = [json.loads(line)["cost_usd"] for line in serial.splitlines()]
+    # enough for the first completion, crossed by the second
+    gateway = _gateway(EchoByPrompt(dataset), tmp_path, budget_usd=costs[0] + costs[1] / 2)
+    with pytest.raises(BudgetExceededError):
+        run_experiment(dataset, gateway, default_prompt_config("zero"),
+                       results_path=tmp_path / "partial.jsonl", prompt_label="zero",
+                       concurrency=2)
+    partial = (tmp_path / "partial.jsonl").read_bytes()
+    assert serial.startswith(partial)
+    assert len(partial.splitlines()) < len(dataset)
+
+
+def test_concurrent_failures_are_written_in_place_like_the_serial_run(tmp_path):
+    dataset = make_dataset([5, 15, 25, 35, 45, 55, 65])
+    rejected = dataset[1::3]
+    serial = _serial_bytes(dataset, RejectingEchoByPrompt(dataset, rejected), tmp_path)
+    result = run_experiment(dataset,
+                            _gateway(RejectingEchoByPrompt(dataset, rejected), tmp_path / "pool"),
+                            default_prompt_config("zero"), results_path=tmp_path / "pool.jsonl",
+                            prompt_label="zero", concurrency=3)
+    assert (tmp_path / "pool.jsonl").read_bytes() == serial
+    assert [f.snippet_id for f in result.failures] == [rec.snippet.id for rec in rejected]
+    assert len(result.records) == len(dataset) - len(rejected)
+
+
+def test_concurrent_render_error_propagates_and_leaks_no_handle(tmp_path, monkeypatch):
+    import restory.runner as runner
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(runner, "open", recording_open, raising=False)
+    threads_before = set(threading.enumerate())
+    dataset = make_dataset([5, 15, 25])
+    with pytest.raises(ExemplarCountError):
+        run_experiment(dataset, _gateway(CountingProvider(), tmp_path),
+                       default_prompt_config("one"), exemplars=(),
+                       results_path=tmp_path / "results.jsonl", concurrency=2)
+    assert len(opened) == 1 and opened[0].closed
+    assert (tmp_path / "results.jsonl").read_bytes() == b""
+    assert set(threading.enumerate()) <= threads_before  # the pool's workers are joined
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -245,6 +319,15 @@ def _record(snippet_id: str, nloc: int, p: float, r: float, **kwargs) -> Generat
         band=classify_fidelity(triple.f1),
         cost_usd=0.001,
     )
+
+
+@pytest.mark.parametrize("nloc", [0, 351])
+def test_records_reject_nloc_outside_the_design_range(nloc):
+    message = rf"^nloc {nloc} outside \[1, 350\]$"
+    with pytest.raises(DataError, match=message):
+        _record("x", nloc, 0.5, 0.5)
+    with pytest.raises(DataError, match=message):
+        FailureRecord("x", nloc, "synthetic failure")
 
 
 def test_constant_band_mean():

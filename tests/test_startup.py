@@ -157,10 +157,14 @@ def test_reading_commands_load_the_runner_but_not_the_gateway(commands, command)
                     command: [0, sorted(CLI_MODULES + SCORING_MODULES)]}
 
 
-def test_generate_loads_the_gateway_and_what_it_needs(commands):
-    seen = _dispatch_probe([("generate", commands["generate"])], _graph)
+def test_generate_loads_the_gateway_and_what_it_needs(commands, dataset_35, tmp_path):
+    """A serial run (concurrency 1) loads no thread pool; a pooled one does."""
+    serial = ["generate", "--manifest", str(write_manifest(tmp_path, dataset_35, "run3"))]
+    seen = _dispatch_probe([("serial", serial), ("generate", commands["generate"])], _graph)
     expected = sorted([*CLI_MODULES, *SCORING_MODULES, "restory.gateway", *GENERATE_ONLY])
-    assert seen == {"import": CLI_MODULES, "generate": [0, expected]}
+    assert seen == {"import": CLI_MODULES,
+                    "serial": [0, [m for m in expected if m != "concurrent.futures"]],
+                    "generate": [0, expected]}
 
 
 def test_package_exports_resolve_to_their_home_objects():
