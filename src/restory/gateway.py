@@ -25,7 +25,7 @@ import random
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -127,6 +127,20 @@ class CompletionResult:
     cached: bool
     retries: int = 0
     tokens_estimated: bool = False
+
+    def __post_init__(self):
+        if min(self.input_tokens, self.output_tokens, self.latency_ms, self.retries) < 0:
+            raise DataError("token counts, latency_ms and retries must be >= 0")
+        if not 0.0 <= self.cost_usd < math.inf:
+            raise DataError(f"cost_usd must be finite and >= 0, got {self.cost_usd}")
+
+
+def _cache_hit_flag(obj: dict) -> bool:
+    """The `cached` field of an entry read back from the cache: True, once
+    the stored flag is found to be a bool."""
+    if obj["cached"].__class__ is not bool:
+        raise TypeError(f"cached {obj['cached']!r} is not a bool")
+    return True
 
 
 @dataclass(frozen=True)
@@ -398,8 +412,9 @@ class Gateway:
         except FileNotFoundError:
             return None
         try:
-            return decode(CompletionResult, json.loads(raw.decode("utf-8")))
-        except (ValueError, TypeError, KeyError) as exc:
+            return decode(CompletionResult, json.loads(raw.decode("utf-8")),
+                          cached=_cache_hit_flag)
+        except (ValueError, TypeError, KeyError, DataError) as exc:
             # A miss: the provider's result overwrites the damaged entry.
             logger.warning("ignoring damaged cache entry %s: %s", path, exc)
             return None
@@ -434,11 +449,10 @@ class Gateway:
 
         hit = self._cache_load(key)
         if hit is not None:
-            result = replace(hit, cached=True)
             if self.ledger:
-                self.ledger.append(self.model.model_id, result.input_tokens,
-                                   result.output_tokens, 0.0, cached=True)
-            return result
+                self.ledger.append(self.model.model_id, hit.input_tokens,
+                                   hit.output_tokens, 0.0, cached=True)
+            return hit
 
         if self.budget_usd is not None and self.spent_usd >= self.budget_usd:
             raise BudgetExceededError(

@@ -103,6 +103,10 @@ def read_jsonl(path, build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
             yield lineno, record
 
 
+# What `json.dumps(obj, sort_keys=True, ensure_ascii=False)` builds per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def dumps(obj: dict) -> str:
     """One JSON line: keys sorted, non-ASCII text kept as is."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    return _ENCODER.encode(obj)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import string
+import threading
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -257,11 +258,13 @@ def classify_fidelity(f1: float) -> FidelityBand:
 # BLEU
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+def _ngrams(tokens: Sequence[str], n: int):
+    if n == 1:
+        return tokens  # a token stands for its 1-gram; no 1-tuples are built
     # n offset views of the tokens, zipped in step. They are passed as a
     # list: passed as a generator, the n-gram tuples of a warm grid stayed
     # allocated until the next full collection (~0.5 MB more resident).
-    return Counter(zip(*[islice(tokens, i, None) for i in range(n)]))
+    return zip(*[islice(tokens, i, None) for i in range(n)])
 
 
 def bleu(
@@ -281,13 +284,22 @@ def bleu(
         _warnings.warn("bleu over an empty sequence is defined as 0", RuntimeWarning)
         return 0.0
 
+    # One table of the reference's n-grams of every order (a token, or a
+    # tuple of n >= 2 tokens). Each candidate n-gram takes one remaining
+    # reference copy, so an order's matches sum to min(candidate count,
+    # reference count) over its n-grams: the clipped count.
+    ref_left = Counter()
+    for n in range(1, max_n + 1):
+        ref_left.update(_ngrams(reference, n))
+    left_of = ref_left.get
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        cand_counts = _ngram_counts(candidate, n)
-        ref_counts = _ngram_counts(reference, n)
-        # Only n-grams on both sides clip to a non-zero count.
-        clipped = sum(min(cand_counts[g], ref_counts[g])
-                      for g in cand_counts.keys() & ref_counts.keys())
+        clipped = 0
+        for gram in _ngrams(candidate, n):
+            left = left_of(gram)
+            if left:
+                ref_left[gram] = left - 1
+                clipped += 1
         total = max(len(candidate) - n + 1, 0)
         if smoothing and n >= 2:
             clipped += 1
@@ -389,6 +401,19 @@ class EmbeddedText:
         return int(self.vectors.shape[1])
 
 
+@lru_cache(maxsize=None)
+def _numpy_kernels():
+    """numpy's pairwise-summing reduction and its clip ufunc, which
+    `np.mean` and `np.clip` call under their Python wrappers."""
+    import numpy as np
+
+    try:
+        from numpy._core.umath import clip
+    except ImportError:  # numpy < 2
+        from numpy.core.umath import clip
+    return np.add.reduce, clip
+
+
 def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> ScoreTriple:
     """Greedy max-cosine token matching: precision averages each candidate
     token's best match against the reference, recall the reverse. Negative
@@ -399,11 +424,13 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
         raise MetricInputError(
             f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}"
         )
-    import numpy as np
-
+    add_reduce, clip = _numpy_kernels()
     sim = candidate.vectors @ reference.vectors.T
-    precision = float(np.mean(np.clip(sim.max(axis=1), 0.0, 1.0)))
-    recall = float(np.mean(np.clip(sim.max(axis=0), 0.0, 1.0)))
+    # The steps of np.mean(np.clip(best, 0.0, 1.0)), so the same floats: the
+    # clip ufunc (np.maximum would turn a -0.0 that clip keeps into 0.0), the
+    # pairwise sum and one division by the count.
+    precision = float(add_reduce(clip(sim.max(axis=1), 0.0, 1.0)) / len(candidate))
+    recall = float(add_reduce(clip(sim.max(axis=0), 0.0, 1.0)) / len(reference))
     return ScoreTriple.from_pr(precision, recall)
 
 
@@ -419,7 +446,11 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
 class HashEmbedder:
     """Deterministic synthetic embeddings: each distinct token type gets a
     unit vector seeded from its SHA-256 digest (optionally salted). The
-    unit-norm check runs once per token type, when its vector is made."""
+    unit-norm check runs once per token type, when its vector is made.
+    Vectors are kept as the rows of one matrix, so a text's vectors are
+    gathered with one `take`."""
+
+    _FIRST_ROWS = 64  # rows of the first matrix; each growth doubles them
 
     def __init__(self, dim: int = 64, salt: int = 0):
         if dim < 1:
@@ -427,36 +458,57 @@ class HashEmbedder:
         self.dim = dim
         self.salt = salt
         self.provider_id = f"synthetic-hash-{dim}" + (f"-s{salt}" if salt else "")
-        self._cache: dict[str, np.ndarray] = {}
+        self._rows: dict[str, int] = {}  # token -> its row of `_matrix`
+        self._matrix: np.ndarray | None = None
+        self._lock = threading.Lock()
 
     def _vector(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            import hashlib
+        """The unit vector of `token`, made from its digest."""
+        import hashlib
 
-            import numpy as np
+        import numpy as np
 
-            digest = hashlib.sha256(f"{self.salt}:{token}".encode("utf-8")).digest()
-            rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-            vec = rng.standard_normal(self.dim)
-            vec /= np.linalg.norm(vec)
-            if not abs(np.linalg.norm(vec) - 1.0) <= 1e-6:
-                raise MetricInputError(f"vector of token {token!r} is not unit norm")
-            self._cache[token] = vec
+        digest = hashlib.sha256(f"{self.salt}:{token}".encode("utf-8")).digest()
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+        vec = rng.standard_normal(self.dim)
+        vec /= np.linalg.norm(vec)
+        if not abs(np.linalg.norm(vec) - 1.0) <= 1e-6:
+            raise MetricInputError(f"vector of token {token!r} is not unit norm")
         return vec
+
+    def _add(self, token: str) -> int:
+        """The row of `token`, filled with its vector if it has none yet.
+        Under a lock, so that threads sharing the embedder never give two
+        token types one row; the matrix only grows, so rows read without
+        the lock stay valid."""
+        import numpy as np
+
+        with self._lock:
+            row = self._rows.get(token)
+            if row is None:
+                vec = self._vector(token)
+                row = len(self._rows)
+                if self._matrix is None or row == len(self._matrix):
+                    grown = np.empty((max(2 * row, self._FIRST_ROWS), self.dim))
+                    if row:
+                        grown[:row] = self._matrix
+                    self._matrix = grown
+                self._matrix[row] = vec
+                self._rows[token] = row
+        return row
 
     def embed(self, text: str) -> EmbeddedText:
         return self.embed_tokens(tokenize(text))
 
     def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
-        import numpy as np
-
         tokens = tuple(tokens)
-        if tokens:
-            vectors = np.array([self._vector(t) for t in tokens])
-        else:
-            vectors = np.zeros((0, self.dim))
-        return EmbeddedText._trusted(tokens, vectors)
+        if not tokens:
+            import numpy as np
+
+            return EmbeddedText._trusted(tokens, np.zeros((0, self.dim)))
+        rows = self._rows
+        index = [rows[t] if t in rows else self._add(t) for t in tokens]
+        return EmbeddedText._trusted(tokens, self._matrix.take(index, axis=0))
 
 
 class OneHotEmbedder:

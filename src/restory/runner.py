@@ -482,12 +482,21 @@ def calibration_experiment(
     the separation gradient easy to read."""
     if embedder is None:
         embedder = HashEmbedder()
-    grouped: dict[str, list[CalibrationPair]] = {c: [] for c in CALIBRATION_CATEGORIES}
+    counts = dict.fromkeys(CALIBRATION_CATEGORIES, 0)
     for pair in pairs:
-        grouped[pair.category].append(pair)
-    empty = [c for c in CALIBRATION_CATEGORIES if not grouped[c]]
+        counts[pair.category] += 1
+    empty = [c for c in CALIBRATION_CATEGORIES if not counts[c]]
     if empty:
         raise EmptyCategoryError("empty calibration categories: " + ", ".join(empty))
+
+    # Every metric of a pair from one score_pair call; each (metric, category)
+    # total still adds its F1 values in file order.
+    names = tuple(METRICS)
+    totals = {metric: dict.fromkeys(CALIBRATION_CATEGORIES, 0.0) for metric in names}
+    for pair in pairs:
+        scores = score_pair(pair.candidate, pair.reference, embedder, names)
+        for metric, triple in scores.items():
+            totals[metric][pair.category] += triple.f1
 
     rows = []
     for metric, (_, variant) in METRICS.items():
@@ -496,12 +505,7 @@ def calibration_experiment(
             "variant": variant or embedder.provider_id,
         }
         for category in CALIBRATION_CATEGORIES:
-            members = grouped[category]
-            total = 0.0
-            for pair in members:
-                triple = score_pair(pair.candidate, pair.reference, embedder, (metric,))[metric]
-                total += triple.f1
-            row[category] = round(total / len(members) * 100, 2)
+            row[category] = round(totals[metric][category] / counts[category] * 100, 2)
         rows.append(row)
     return rows
 

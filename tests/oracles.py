@@ -9,8 +9,9 @@ state machine instead of one regular expression.
 The rest are earlier versions of rewritten hot functions, kept unchanged
 so that properties can pin the rewrites to their exact outputs: the
 per-character tokenize loop, the BLEU that clipped over every candidate
-n-gram, the cache key that serialised its whole payload per call, and the
-snippet check that built every line list to count physical lines.
+n-gram, the greedy matching that went through `np.clip` and `np.mean`, the
+cache key that serialised its whole payload per call, and the snippet check
+that built every line list to count physical lines.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from restory.corpus import (
     UnsupportedLanguageError,
     UnterminatedCommentError,
 )
+from restory.metrics import MetricInputError, ScoreTriple
 
 
 def oracle_bleu(
@@ -114,6 +116,24 @@ def oracle_bleu_counted(
     else:
         bp = 1.0
     return bp * math.exp(log_sum)
+
+
+def oracle_greedy_embedding_score(candidate, reference):
+    """`greedy_embedding_score` as it was before it called numpy's clip
+    ufunc and reduction directly, unchanged: the reference for its exact
+    floats, signed zeros included."""
+    if len(candidate) == 0 or len(reference) == 0:
+        raise MetricInputError("greedy embedding score needs non-empty inputs")
+    if candidate.dim != reference.dim:
+        raise MetricInputError(
+            f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}"
+        )
+    import numpy as np
+
+    sim = candidate.vectors @ reference.vectors.T
+    precision = float(np.mean(np.clip(sim.max(axis=1), 0.0, 1.0)))
+    recall = float(np.mean(np.clip(sim.max(axis=0), 0.0, 1.0)))
+    return ScoreTriple.from_pr(precision, recall)
 
 
 def oracle_cache_key(model_id: str, config, prompt_text: str) -> str:

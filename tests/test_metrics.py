@@ -26,6 +26,7 @@ from oracles import (
     oracle_bag_max_match,
     oracle_bleu,
     oracle_bleu_counted,
+    oracle_greedy_embedding_score,
     oracle_rouge_l,
     oracle_tokenize,
 )
@@ -157,12 +158,15 @@ _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=1
 
 
 def _token_pairs(size):
-    words = st.lists(st.sampled_from([f"w{i}" for i in range(size)]), max_size=40)
+    # One- and two-word alphabets with longer texts make candidate n-gram
+    # counts exceed the reference's, so clipping decides the score.
+    words = st.lists(st.sampled_from([f"w{i}" for i in range(size)]),
+                     max_size=60 if size <= 2 else 40)
     return st.tuples(words, words)
 
 
 @settings(max_examples=300)
-@given(st.sampled_from([4, 30]).flatmap(_token_pairs), st.integers(1, 6), st.booleans())
+@given(st.sampled_from([1, 2, 4, 30]).flatmap(_token_pairs), st.integers(1, 6), st.booleans())
 def test_bleu_matches_oracle(pair, max_n, smoothing):
     candidate, reference = pair
     if candidate and reference:
@@ -337,6 +341,22 @@ def test_greedy_one_hot_equals_bag_max_match(cand, ref):
     assert abs(got.f1 - f1) < 1e-12
 
 
+_GREEDY_WORDS = [f"w{i}" for i in range(12)]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["hash", "one-hot"]),
+       st.lists(st.sampled_from(_GREEDY_WORDS), min_size=1, max_size=30),
+       st.lists(st.sampled_from(_GREEDY_WORDS), min_size=1, max_size=30))
+def test_greedy_matches_the_np_mean_oracle_to_the_bit(kind, cand, ref):
+    embedder = HashEmbedder(dim=16) if kind == "hash" else OneHotEmbedder(_GREEDY_WORDS)
+    a, b = embedder.embed_tokens(cand), embedder.embed_tokens(ref)
+    got = greedy_embedding_score(a, b)
+    want = oracle_greedy_embedding_score(a, b)
+    assert list(map(repr, (got.precision, got.recall, got.f1))) == \
+        list(map(repr, (want.precision, want.recall, want.f1)))
+
+
 # ---------------------------------------------------------------------------
 # embedding providers
 
@@ -381,6 +401,32 @@ def test_hash_embed_tokens_equals_the_checked_constructor(text):
     assert embedded.vectors.dtype == checked.vectors.dtype == np.float64
     assert embedded.vectors.shape == checked.vectors.shape == (len(checked), 16)
     assert np.array_equal(embedded.vectors, checked.vectors)
+
+
+_GROWTH_WORDS = [f"t{i}" for i in range(300)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 200),
+       st.lists(st.lists(st.sampled_from(_GROWTH_WORDS), max_size=30), max_size=6))
+def test_hash_embed_tokens_rows_are_each_tokens_vector_across_matrix_growth(first, batches):
+    """A first batch of `first` new token types takes the matrix across
+    its 64- and 128-row growth points; texts embedded earlier keep their
+    vectors."""
+    embedder = HashEmbedder(dim=8, salt=5)
+    seen = []
+    for tokens in [_GROWTH_WORDS[:first], *batches]:
+        embedded = embedder.embed_tokens(tokens)
+        checked = EmbeddedText(tokens=tuple(tokens), vectors=embedded.vectors.copy())
+        assert embedded.tokens == checked.tokens
+        assert embedded.vectors.dtype == checked.vectors.dtype == np.float64
+        assert embedded.vectors.shape == checked.vectors.shape == (len(tokens), 8)
+        assert np.array_equal(embedded.vectors, checked.vectors)
+        for row, token in zip(embedded.vectors, tokens):
+            assert np.array_equal(row, embedder._vector(token))
+        seen.append((embedded, embedded.vectors.copy()))
+    for embedded, vectors in seen:
+        assert np.array_equal(embedded.vectors, vectors)
 
 
 def test_one_hot_embedder_rejects_unknown_token():

@@ -463,6 +463,29 @@ def test_calibration_ordering_with_shipped_fixture():
     assert greedy["twin-minimal"] > greedy["paraphrase-50"] > greedy["different-meaning"]
 
 
+def test_calibration_scores_each_pair_once_with_the_per_metric_means(monkeypatch):
+    import restory.runner as runner
+
+    pairs = load_calibration_pairs()
+    embedder = HashEmbedder(dim=16)
+    # The rows as computed with one score_pair call per metric per pair.
+    want = []
+    for metric, (_, variant) in runner.METRICS.items():
+        row = {"metric": metric, "variant": variant or embedder.provider_id}
+        for category in runner.CALIBRATION_CATEGORIES:
+            members = [p for p in pairs if p.category == category]
+            total = 0.0
+            for p in members:
+                total += score_pair(p.candidate, p.reference, embedder, (metric,))[metric].f1
+            row[category] = round(total / len(members) * 100, 2)
+        want.append(row)
+
+    calls = []
+    monkeypatch.setattr(runner, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    assert calibration_experiment(pairs, embedder) == want
+    assert len(calls) == 2 * len(pairs)
+
+
 def test_calibration_identical_pairs_rouge_is_100():
     pairs = []
     for category in ("twin-minimal", "paraphrase-50", "different-meaning"):
