@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpus
 from .errors import DataError, GatewayError
-from .jsonl import read_jsonl
+from .jsonl import csv_text, read_jsonl
 from .prompts import PROMPT_VARIANTS, default_prompt_config, load_exemplars
 
 EXIT_OK = 0
@@ -155,8 +155,12 @@ def parse_manifest(path: str | Path) -> RunManifest:
         })
     except ValueError as exc:
         raise UsageError(f"{path}: bad manifest value: {exc}") from exc
-    if manifest.budget_usd is not None and manifest.budget_usd < 0:
-        raise UsageError(f"{path}: budget_usd must be >= 0, got {manifest.budget_usd}")
+    for key, least in (("budget_usd", 0), ("concurrency", 1), ("retries", 0)):
+        value = getattr(manifest, key)
+        if value is not None and value < least:
+            raise UsageError(f"{path}: {key} must be >= {least}, got {value}")
+    if (manifest.input_cost_per_mtok is None) != (manifest.output_cost_per_mtok is None):
+        raise UsageError(f"{path}: input_cost_per_mtok and output_cost_per_mtok go together")
     return manifest
 
 
@@ -206,10 +210,7 @@ def _cmd_profile(args) -> int:
     rows, warnings = corpus.profile_files(paths, args.language)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    lines = ["path,nloc,stratum"]
-    for path, nloc, stratum in rows:
-        lines.append(f"{path},{nloc},{'' if stratum is None else stratum}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    _write_or_print(csv_text(("path", "nloc", "stratum"), rows), args.out)
     return EXIT_OK
 
 
@@ -234,32 +235,36 @@ def _cmd_generate(args) -> int:
     from .gateway import Gateway, GenerationConfig, ModelSpec, model_spec
     manifest = parse_manifest(args.manifest)
     embedder = _resolve_embedder(manifest.embedder, manifest.seed)
+    variants = sorted(PROMPT_VARIANTS) if args.grid else [manifest.prompt]
+    bundled_exemplars = load_exemplars()
+    try:
+        if manifest.input_cost_per_mtok is not None:  # parse_manifest pairs the two rates
+            model = ModelSpec(manifest.model, manifest.input_cost_per_mtok,
+                              manifest.output_cost_per_mtok)
+        else:
+            model = model_spec(manifest.model)
+        generation = GenerationConfig(
+            temperature=manifest.temperature,
+            min_output_tokens=manifest.min_output_tokens,
+            repetition_penalty=manifest.repetition_penalty,
+            max_output_tokens=manifest.max_output_tokens,
+        )
+        configs = [default_prompt_config(v, few_k=manifest.few_shot_k) for v in variants]
+        for config in configs:
+            if config.expected_exemplars > len(bundled_exemplars):
+                raise DataError(f"need {config.expected_exemplars} exemplars but only "
+                                f"{len(bundled_exemplars)} bundled")
+    except DataError as exc:
+        raise UsageError(f"{args.manifest}: bad manifest value: {exc}") from exc
     # Loaded and resolved once for every variant of a grid; each variant
     # keeps its own Gateway, so a budget still applies per variant.
     dataset = corpus.load_dataset(manifest.dataset)
-    if manifest.input_cost_per_mtok is not None and manifest.output_cost_per_mtok is not None:
-        model = ModelSpec(manifest.model, manifest.input_cost_per_mtok,
-                          manifest.output_cost_per_mtok)
-    else:
-        model = model_spec(manifest.model)
     provider = _resolve_provider(manifest, dataset)
-    generation = GenerationConfig(
-        temperature=manifest.temperature,
-        min_output_tokens=manifest.min_output_tokens,
-        repetition_penalty=manifest.repetition_penalty,
-        max_output_tokens=manifest.max_output_tokens,
-    )
-    bundled_exemplars = load_exemplars()
     base_dir = Path(manifest.output_dir)
     cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
     worst = EXIT_OK
-    for variant in sorted(PROMPT_VARIANTS) if args.grid else [manifest.prompt]:
-        config = default_prompt_config(variant, few_k=manifest.few_shot_k)
+    for variant, config in zip(variants, configs):
         exemplars = bundled_exemplars[: config.expected_exemplars]
-        if len(exemplars) < config.expected_exemplars:
-            raise DataError(
-                f"need {config.expected_exemplars} exemplars but only {len(exemplars)} bundled"
-            )
         with Gateway(
             provider,
             model,
@@ -290,14 +295,18 @@ def _cmd_generate(args) -> int:
     return worst
 
 
-def _cmd_evaluate(args) -> int:
+def _report_rows(path: str, scheme: str, metric: str = corpus.GREEDY_METRIC) -> list[dict]:
+    """The report rows of one results file, which must hold a scored record."""
     from . import runner
-    records, failures = runner.load_results(args.results)
+    records, failures = runner.load_results(path)
     if not records:
-        raise DataError(f"{args.results}: no scored records")
-    rows = runner.collect_report_rows(records, args.scheme, args.metric, failures)
-    header = f"{'band':>9} {'n':>5} {'precision':>9} {'recall':>9} {'f1':>9} {'failures':>8}"
-    lines = [header]
+        raise DataError(f"{path}: no scored records")
+    return runner.collect_report_rows(records, scheme, metric, failures)
+
+
+def _cmd_evaluate(args) -> int:
+    rows = _report_rows(args.results, args.scheme, args.metric)
+    lines = [f"{'band':>9} {'n':>5} {'precision':>9} {'recall':>9} {'f1':>9} {'failures':>8}"]
     for row in rows:
         lines.append(
             f"{row['band']:>9} {row['n']:>5} {row['precision']:>9.2f} "
@@ -312,13 +321,8 @@ def _cmd_calibrate(args) -> int:
     from .metrics import HashEmbedder
     pairs = runner.load_calibration_pairs(args.pairs)
     rows = runner.calibration_experiment(pairs, HashEmbedder(dim=args.dim))
-    lines = ["metric,variant," + ",".join(runner.CALIBRATION_CATEGORIES)]
-    for row in rows:
-        lines.append(
-            f"{row['metric']},{row['variant']},"
-            + ",".join(f"{row[c]:.2f}" for c in runner.CALIBRATION_CATEGORIES)
-        )
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    columns = ("metric", "variant", *runner.CALIBRATION_CATEGORIES)
+    _write_or_print(csv_text(columns, ([row[c] for c in columns] for row in rows)), args.out)
     return EXIT_OK
 
 
@@ -338,12 +342,7 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_report(args) -> int:
     from . import runner
-    all_rows: list[dict] = []
-    for path in args.inputs:
-        records, failures = runner.load_results(path)
-        if not records:
-            raise DataError(f"{path}: no scored records")
-        all_rows.extend(runner.collect_report_rows(records, args.scheme, failures=failures))
+    all_rows = [row for path in args.inputs for row in _report_rows(path, args.scheme)]
     runner.write_report_rows(all_rows, args.out, args.format)
     print(f"wrote {len(all_rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK

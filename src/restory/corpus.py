@@ -131,9 +131,13 @@ class Stratum:
 
 STRATA = tuple(Stratum(i) for i in range(STRATUM_COUNT))
 
-# The runner's report band schemes and default metric, here so that the
-# command-line parser can offer them without loading the runner.
-SCHEMES = ("coarse3", "per-stratum")
+# The runner's report band schemes, each a partition of [1, 350] into
+# (label, lower, upper) bands, and its default metric; here for the parser.
+BANDS = {
+    "coarse3": (("1-100", 1, 100), ("101-200", 101, 200), ("201-350", 201, 350)),
+    "per-stratum": tuple((s.label, s.lower, s.upper) for s in STRATA),
+}
+SCHEMES = tuple(BANDS)
 GREEDY_METRIC = "greedy-embedding"
 
 
@@ -155,6 +159,8 @@ class CodeSnippet:
     def __post_init__(self):
         if not self.id:
             raise DataError("snippet id must be non-empty")
+        if self.language_tag not in SUPPORTED_LANGUAGES:
+            raise UnsupportedLanguageError(f"unsupported language tag: {self.language_tag!r}")
         if self.nloc < 1:
             raise DataError(f"snippet {self.id}: nloc must be >= 1, got {self.nloc}")
         # Each "\n" ends a splitlines() line, so only a count past them needs the list.

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .errors import BudgetExceededError, DataError, GatewayError
 from .jsonl import decode, dumps
-from .prompts import RenderedPrompt, estimate_tokens
+from .prompts import RenderedPrompt, estimate_tokens, shown_code
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ class GenerationConfig:
                 f"repetition_penalty must be finite and > 0, got {self.repetition_penalty}"
             )
         if self.min_output_tokens < 1 or self.max_output_tokens < 1:
-            raise DataError("token limits must be positive")
+            raise DataError("min_output_tokens and max_output_tokens must be >= 1")
         if self.min_output_tokens > self.max_output_tokens:
             raise DataError(
                 f"min_output_tokens {self.min_output_tokens} exceeds "
@@ -263,16 +263,15 @@ class StaticProvider:
 
 
 class EchoProvider:
-    """Replays a canned completion keyed by the code inside the prompt.
-
-    Assumes the target snippet is the last fenced block in the prompt
-    (which is where `render_prompt` puts it). Useful for hermetic runs
+    """Replays a canned completion keyed by the code inside the prompt, as
+    `shown_code` gives it, read from the prompt's last fenced block (which
+    is where `render_prompt` puts the snippet). Useful for hermetic runs
     where the "model" should echo each snippet's reference story.
     """
 
     def __init__(self, completion_by_code: dict[str, str]):
         self._completions = {
-            code.rstrip("\n"): text for code, text in completion_by_code.items()
+            shown_code(code): text for code, text in completion_by_code.items()
         }
 
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
@@ -476,6 +475,12 @@ class Gateway:
                 self._sleep(delay)
                 attempt += 1
         latency_ms = int((time.monotonic() - start) * 1000)
+        try:
+            response.text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # cache and results files are UTF-8
+            raise ProviderRejectedError(
+                f"provider reply has no UTF-8 form: a lone surrogate at index {exc.start}"
+            ) from None
 
         estimated = response.input_tokens is None or response.output_tokens is None
         input_tokens = (

@@ -4,7 +4,8 @@ Datasets, results, exemplars, calibration pairs and labels are all read by
 `read_jsonl`, so each of their errors names the file and the line in one
 format. `decode` builds a dataclass from one JSON object and type-checks
 each field against its annotation (the annotations must be strings, as
-under `from __future__ import annotations`). `dumps` writes a record back.
+under `from __future__ import annotations`). `dumps` writes a record back,
+and `csv_text` writes a table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 from functools import cache
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DataError
 
@@ -110,3 +111,24 @@ _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 def dumps(obj: dict) -> str:
     """One JSON line: keys sorted, non-ASCII text kept as is."""
     return _ENCODER.encode(obj)
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV lines of `header` and each row: a bool cell reads `true` or
+    `false`, a float has two decimals, None is empty and anything else is its
+    `str`, quoted as RFC 4180 does when it holds a comma, a quote, CR or LF.
+    It does not use the `csv` module, which `profile` and `report` never load."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (header, *rows))
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -153,6 +153,12 @@ _BLANK_RUN_RE = re.compile(r"\n\n\n+")
 _KNOWN_PLACEHOLDERS = {"directive", "story_format_hint", "scot_block", "exemplars", "code"}
 
 
+def shown_code(source_text: str) -> str:
+    """A snippet's code as a prompt shows it inside its fence: trailing whitespace
+    dropped and blank-line runs cut to one, the opening fence's line end counted."""
+    return _BLANK_RUN_RE.sub("\n\n", "\n" + source_text.rstrip())[1:]
+
+
 def load_layout(path: str | Path | None, config: PromptConfig) -> str:
     """Read a layout template and reject it if a placeholder the chosen
     config needs is missing (or an unknown one is present)."""
@@ -223,7 +229,7 @@ def render_prompt(
         "story_format_hint": config.story_format_hint,
         "scot_block": _bundled_scot_block() if config.scot else "",
         "exemplars": _exemplar_block(exemplars, snippet.language_tag),
-        "code": f"```{snippet.language_tag}\n{snippet.source_text.rstrip()}\n```",
+        "code": f"```{snippet.language_tag}\n{shown_code(snippet.source_text)}\n```",
     }
     text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], _bundled_layout(config))
     text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"

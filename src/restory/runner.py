@@ -11,14 +11,15 @@ so partial files are valid prefixes and warm-cache reruns are byte-stable.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import GREEDY_METRIC, SCHEMES, STRATA, DatasetRecord, stratum_for_nloc
+from .corpus import BANDS, GREEDY_METRIC, SCHEMES, DatasetRecord, stratum_for_nloc
 from .errors import BudgetExceededError, DataError, GatewayError
-from .jsonl import decode, dumps, read_jsonl
+from .jsonl import csv_text, decode, dumps, read_jsonl
 from .metrics import (
     FidelityBand,
     HashEmbedder,
@@ -37,8 +38,9 @@ if TYPE_CHECKING:
 
 DEFAULT_METRICS = (GREEDY_METRIC, "bleu", "rouge-l")
 
-COARSE_BANDS = (("1-100", 1, 100), ("101-200", 101, 200), ("201-350", 201, 350))
 RANGE_OF_INTEREST = "101-200"
+# The columns of a report row, in the order a CSV report writes them.
+REPORT_COLUMNS = ("band", "n", "precision", "recall", "f1", "scot", "prompt", "model", "failures")
 
 
 class AnnotationError(DataError):
@@ -312,14 +314,6 @@ class BandAggregate:
             raise DataError("aggregate n must be positive")
 
 
-def _bands_for_scheme(scheme: str) -> list[tuple[str, int, int]]:
-    if scheme == "coarse3":
-        return list(COARSE_BANDS)
-    if scheme == "per-stratum":
-        return [(s.label, s.lower, s.upper) for s in STRATA]
-    raise DataError(f"unknown aggregation scheme {scheme!r}; choose {' or '.join(SCHEMES)}")
-
-
 def aggregate_by_band(
     records: Sequence[GenerationRecord],
     scheme: str = "coarse3",
@@ -332,29 +326,23 @@ def aggregate_by_band(
     """
     if not records:
         raise DataError("no records to aggregate")
-    bands = _bands_for_scheme(scheme)
+    if scheme not in BANDS:
+        raise DataError(f"unknown aggregation scheme {scheme!r}; choose {' or '.join(SCHEMES)}")
+    bands = BANDS[scheme]
+    # Band index by NLOC - 1; records and failures hold an NLOC in [1, 350].
+    band_at = [i for i, (_, lo, hi) in enumerate(bands) for _ in range(lo, hi + 1)]
 
-    def band_of(nloc: int) -> int:
-        for i, (_, lo, hi) in enumerate(bands):
-            if lo <= nloc <= hi:
-                return i
-        raise AssertionError("bands do not cover the NLOC range")
-
-    grouped: dict[int, list[GenerationRecord]] = {}
-    for rec in records:
-        grouped.setdefault(band_of(rec.nloc), []).append(rec)
-    failed: dict[int, int] = {}
-    for f in failures:
-        idx = band_of(f.nloc)
-        failed[idx] = failed.get(idx, 0) + 1
+    grouped: dict[int, list[ScoreTriple]] = {}
+    try:
+        for rec in records:
+            grouped.setdefault(band_at[rec.nloc - 1], []).append(rec.scores[metric])
+    except KeyError:
+        raise DataError(f"records carry no scores for metric {metric!r}") from None
+    failed = Counter(band_at[f.nloc - 1] for f in failures)
 
     out: list[BandAggregate] = []
-    for idx in sorted(grouped):
+    for idx, triples in sorted(grouped.items()):
         label, lo, hi = bands[idx]
-        try:
-            triples = [rec.scores[metric] for rec in grouped[idx]]
-        except KeyError:
-            raise DataError(f"records carry no scores for metric {metric!r}") from None
         n = len(triples)
         out.append(
             BandAggregate(
@@ -365,7 +353,7 @@ def aggregate_by_band(
                 mean_precision=sum(t.precision for t in triples) / n,
                 mean_recall=sum(t.recall for t in triples) / n,
                 mean_f1=sum(t.f1 for t in triples) / n,
-                failures=failed.get(idx, 0),
+                failures=failed[idx],
             )
         )
     return out
@@ -390,59 +378,30 @@ def collect_report_rows(
         groups.setdefault((rec.model_id, rec.prompt_label, rec.scot), []).append(rec)
     rows: list[dict] = []
     single = len(groups) == 1
-    for (model, prompt, scot) in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-        aggs = aggregate_by_band(
-            groups[(model, prompt, scot)], scheme, metric,
-            failures=failures if single else (),
-        )
-        for agg in aggs:
-            rows.append({
-                "band": agg.band_label,
-                "n": agg.n,
-                "precision": round(agg.mean_precision * 100, 2),
-                "recall": round(agg.mean_recall * 100, 2),
-                "f1": round(agg.mean_f1 * 100, 2),
-                "scot": scot,
-                "prompt": prompt,
-                "model": model,
-                "failures": agg.failures,
-            })
+    for (model, prompt, scot), group in sorted(groups.items()):
+        for agg in aggregate_by_band(group, scheme, metric, failures if single else ()):
+            rows.append(dict(zip(REPORT_COLUMNS, (
+                agg.band_label, agg.n, round(agg.mean_precision * 100, 2),
+                round(agg.mean_recall * 100, 2), round(agg.mean_f1 * 100, 2),
+                scot, prompt, model, agg.failures,
+            ))))
     return rows
 
 
-REPORT_COLUMNS = ("band", "n", "precision", "recall", "f1", "scot", "prompt", "model", "failures")
-
-
 def write_report_rows(rows: Sequence[dict], path: str | Path, format: str = "csv") -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if format == "csv":
-        lines = [",".join(REPORT_COLUMNS)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        row["band"],
-                        str(row["n"]),
-                        f"{row['precision']:.2f}",
-                        f"{row['recall']:.2f}",
-                        f"{row['f1']:.2f}",
-                        str(row["scot"]).lower(),
-                        row["prompt"],
-                        row["model"],
-                        str(row["failures"]),
-                    ]
-                )
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = csv_text(REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in rows))
     elif format == "json":
         doc = {
             "metadata": {"range_of_interest": RANGE_OF_INTEREST, "scale": "x100"},
             "rows": list(rows),
         }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         raise DataError(f"unknown report format {format!r}; choose csv or json")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +441,7 @@ def calibration_experiment(
     the separation gradient easy to read."""
     if embedder is None:
         embedder = HashEmbedder()
-    counts = dict.fromkeys(CALIBRATION_CATEGORIES, 0)
-    for pair in pairs:
-        counts[pair.category] += 1
+    counts = Counter(pair.category for pair in pairs)
     empty = [c for c in CALIBRATION_CATEGORIES if not counts[c]]
     if empty:
         raise EmptyCategoryError("empty calibration categories: " + ", ".join(empty))

@@ -13,9 +13,10 @@ class StoryParseError(DataError):
 
 
 # Role runs to the comma directly before "I want"; goal and benefit are
-# lazy and stop at a sentence-ending period, a newline, or end of text.
+# lazy and stop at a sentence-ending period, a newline, or end of text. Role
+# and goal start with a non-space, so that text with a blank one is no story.
 _STORY_RE = re.compile(
-    r"\bas\s+an?\s+(?P<role>.+?),\s*i\s+want\s+(?P<goal>.+?)"
+    r"\bas\s+an?\s+(?P<role>\S.*?),\s*i\s+want\s+(?P<goal>\S.*?)"
     r"(?:\s+so\s+that\s+(?P<benefit>.+?))?"
     r"(?=\.(?:\s|$)|\n|$)",
     re.IGNORECASE,

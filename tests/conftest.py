@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -142,15 +143,12 @@ def read_report(path: str | Path, format: str = "csv") -> list[dict]:
     path = Path(path)
     if format == "json":
         return json.loads(path.read_text(encoding="utf-8"))["rows"]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
         row["n"] = int(row["n"])
         row["failures"] = int(row["failures"])
         for key in ("precision", "recall", "f1"):
             row[key] = float(row[key])
         row["scot"] = row["scot"] == "true"
-        rows.append(row)
     return rows

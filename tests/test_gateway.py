@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from restory.corpus import CodeSnippet
 from restory.errors import DataError
 from restory.gateway import (
     BudgetExceededError,
@@ -421,6 +422,13 @@ def test_echo_provider_maps_code_from_prompt():
     provider = EchoProvider({snippet.source_text: "the canned story"})
     rendered = render_prompt(default_prompt_config("one-scot"), snippet,
                              exemplars=load_exemplars()[:1])
+    assert provider.generate("m", rendered.text, GenerationConfig()).text == "the canned story"
+
+
+@given(st.text(alphabet="\n\r\t x;", min_size=1).filter(str.strip))
+def test_echo_provider_finds_any_code_as_the_prompt_shows_it(code):
+    rendered = render_prompt(default_prompt_config("zero"), CodeSnippet("s", code, "cpp", 1, 0))
+    provider = EchoProvider({code: "the canned story"})
     assert provider.generate("m", rendered.text, GenerationConfig()).text == "the canned story"
 
 

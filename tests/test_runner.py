@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import threading
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from restory.errors import DataError
 from restory.gateway import BudgetExceededError, Gateway, ModelSpec, ProviderRejectedError
+from restory.jsonl import csv_text
 from restory.metrics import FidelityBand, HashEmbedder, OneHotEmbedder, ScoreTriple, tokenize
 from restory.prompts import ExemplarCountError, default_prompt_config
 from restory.runner import (
@@ -176,6 +179,30 @@ def test_provider_failures_recorded_not_fatal(tmp_path):
     assert records == []
     assert len(failures) == 2
     assert "still failing" in failures[0].failure
+
+
+@pytest.mark.parametrize("reply", ["As a  , I want x so that y.", "As a dev, I want  "],
+                         ids=["blank-role", "blank-goal"])
+def test_a_reply_with_a_blank_role_or_goal_falls_back_to_its_text(tmp_path, reply):
+    result = run_experiment(make_dataset([5]), _gateway(CountingProvider(reply), tmp_path),
+                            default_prompt_config("zero"),
+                            results_path=tmp_path / "results.jsonl")
+    assert result.failures == []
+    [record] = result.records
+    assert record.parse_fallback and record.candidate_story == reply
+    assert load_results(tmp_path / "results.jsonl") == ([record], [])
+
+
+def test_a_reply_without_a_utf8_form_is_a_failure_record(tmp_path):
+    result = run_experiment(make_dataset([5, 15]),
+                            _gateway(CountingProvider("As a \ud800, I want x."), tmp_path),
+                            default_prompt_config("zero"),
+                            results_path=tmp_path / "results.jsonl")
+    assert result.records == [] and len(result.failures) == 2
+    assert result.failures[0].failure == (
+        "provider reply has no UTF-8 form: a lone surrogate at index 5")
+    assert load_results(tmp_path / "results.jsonl") == ([], result.failures)
+    assert not list((tmp_path / "cache").glob("*.json"))
 
 
 def test_budget_abort_saves_partial_results(tmp_path):
@@ -417,6 +444,13 @@ def test_emit_report_csv_round_trip(tmp_path):
     assert rows[0]["f1"] == 80.0
     assert rows[0]["scot"] is False
     assert rows[0]["model"] == "llama-3.1-8b"
+
+
+@given(st.lists(st.lists(st.text(alphabet=',"\r\n a\u00e9\u2028'), min_size=2, max_size=4),
+                min_size=1, max_size=4))
+def test_csv_text_reads_back_with_the_csv_module(rows):
+    text = csv_text(rows[0], rows[1:])
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
 
 
 def test_emit_report_json_has_range_of_interest(tmp_path):
