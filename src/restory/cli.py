@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import corpus
 from .errors import DataError, GatewayError
-from .jsonl import csv_text, read_jsonl
-from .prompts import PROMPT_VARIANTS, default_prompt_config, load_exemplars
+from .jsonl import csv_text, read_unique_jsonl
+from .prompts import PROMPT_VARIANTS, default_prompt_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: a whole number >= 1 (else a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="restory", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -47,7 +55,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="stratified sampling of a dataset")
     p.add_argument("--in", dest="dataset", required=True)
-    p.add_argument("--per-stratum", type=int, required=True)
+    p.add_argument("--per-stratum", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
 
@@ -64,7 +72,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="metric means over curated text-pair categories")
     p.add_argument("--pairs", default=None)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=positive_int, default=64)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("kappa", help="two-annotator agreement from a labels file")
@@ -236,7 +244,6 @@ def _cmd_generate(args) -> int:
     manifest = parse_manifest(args.manifest)
     embedder = _resolve_embedder(manifest.embedder, manifest.seed)
     variants = sorted(PROMPT_VARIANTS) if args.grid else [manifest.prompt]
-    bundled_exemplars = load_exemplars()
     try:
         if manifest.input_cost_per_mtok is not None:  # parse_manifest pairs the two rates
             model = ModelSpec(manifest.model, manifest.input_cost_per_mtok,
@@ -250,10 +257,6 @@ def _cmd_generate(args) -> int:
             max_output_tokens=manifest.max_output_tokens,
         )
         configs = [default_prompt_config(v, few_k=manifest.few_shot_k) for v in variants]
-        for config in configs:
-            if config.expected_exemplars > len(bundled_exemplars):
-                raise DataError(f"need {config.expected_exemplars} exemplars but only "
-                                f"{len(bundled_exemplars)} bundled")
     except DataError as exc:
         raise UsageError(f"{args.manifest}: bad manifest value: {exc}") from exc
     # Loaded and resolved once for every variant of a grid; each variant
@@ -264,7 +267,6 @@ def _cmd_generate(args) -> int:
     cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
     worst = EXIT_OK
     for variant, config in zip(variants, configs):
-        exemplars = bundled_exemplars[: config.expected_exemplars]
         with Gateway(
             provider,
             model,
@@ -278,7 +280,6 @@ def _cmd_generate(args) -> int:
                 dataset,
                 gateway,
                 config,
-                exemplars=exemplars,
                 embedder=embedder,
                 results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
                 prompt_label=variant,
@@ -327,13 +328,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _label_row(obj: dict) -> tuple:
-    hash((obj["a"], obj["b"]))  # labels are counted in sets
-    return obj["id"], obj["a"], obj["b"]
+    row = obj["id"], obj["a"], obj["b"]
+    hash(row)  # ids and labels are counted in sets
+    return row
 
 
 def _cmd_kappa(args) -> int:
     from . import runner
-    rows = [row for _, row in read_jsonl(args.labels, _label_row)]
+    rows = read_unique_jsonl(args.labels, _label_row, lambda row: row[0], "item")
     ids, labels_a, labels_b = zip(*rows) if rows else ((), (), ())
     value = runner.cohen_kappa(runner.AnnotationSet(ids, labels_a, labels_b))
     print(f"{value:.3f}")

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .jsonl import decode, dumps, read_jsonl
+from .jsonl import decode, dumps, read_unique_jsonl
 
 SUPPORTED_LANGUAGES = ("cpp",)
 
@@ -267,14 +267,7 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Load a JSON Lines dataset, validating every record's types and
     invariants. Each error names the file and line, and the record id
     once the line is an object."""
-    records: list[DatasetRecord] = []
-    seen_ids: set[str] = set()
-    for lineno, record in read_jsonl(path, _record_from_json):
-        if record.snippet.id in seen_ids:
-            raise DataError(f"{path}: duplicate record id {record.snippet.id!r} on line {lineno}")
-        seen_ids.add(record.snippet.id)
-        records.append(record)
-    return records
+    return read_unique_jsonl(path, _record_from_json, lambda r: r.snippet.id, "record")
 
 
 def profile_files(

@@ -15,7 +15,6 @@ environment variables only.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -30,8 +29,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BudgetExceededError, DataError, GatewayError
-from .jsonl import decode, dumps
-from .prompts import RenderedPrompt, estimate_tokens, shown_code
+from .jsonl import csv_line, decode, dumps
+from .prompts import RenderedPrompt, estimate_tokens, prompted_code, shown_code
 
 logger = logging.getLogger(__name__)
 
@@ -264,9 +263,9 @@ class StaticProvider:
 
 class EchoProvider:
     """Replays a canned completion keyed by the code inside the prompt, as
-    `shown_code` gives it, read from the prompt's last fenced block (which
-    is where `render_prompt` puts the snippet). Useful for hermetic runs
-    where the "model" should echo each snippet's reference story.
+    `shown_code` gives it and `prompted_code` reads it back. Useful for
+    hermetic runs where the "model" should echo each snippet's reference
+    story.
     """
 
     def __init__(self, completion_by_code: dict[str, str]):
@@ -275,16 +274,10 @@ class EchoProvider:
         }
 
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
-        parts = prompt_text.split("```")
-        if len(parts) < 3:
-            raise ProviderRejectedError("prompt contains no fenced code block")
-        block = parts[-2]
-        code = block.split("\n", 1)[1] if "\n" in block else block
-        code = code.rstrip("\n")
-        try:
-            return ProviderResponse(text=self._completions[code])
-        except KeyError:
-            raise ProviderRejectedError("no canned completion for the prompted code") from None
+        text = self._completions.get(prompted_code(prompt_text))
+        if text is None:
+            raise ProviderRejectedError("no canned completion for the prompted code")
+        return ProviderResponse(text=text)
 
 
 class Ledger:
@@ -309,15 +302,15 @@ class Ledger:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "a", newline="", encoding="utf-8")
                 if self._fh.tell() == 0:  # a new or empty file
-                    csv.writer(self._fh).writerow(self.COLUMNS)
-            csv.writer(self._fh).writerow([
+                    self._fh.write(csv_line(self.COLUMNS))
+            self._fh.write(csv_line((
                 datetime.now(timezone.utc).isoformat(),
                 model_id,
                 input_tokens,
                 output_tokens,
-                repr(cost_usd),
-                str(cached).lower(),
-            ])
+                repr(cost_usd),  # every digit, where a float cell keeps two decimals
+                cached,
+            )))
             self._fh.flush()
 
     def close(self) -> None:
@@ -325,12 +318,6 @@ class Ledger:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-
-    def total_cost(self) -> float:
-        if not self.path.exists():
-            return 0.0
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            return sum(float(row["cost_usd"]) for row in csv.DictReader(fh))
 
 
 class Gateway:

@@ -5,7 +5,7 @@ Datasets, results, exemplars, calibration pairs and labels are all read by
 format. `decode` builds a dataclass from one JSON object and type-checks
 each field against its annotation (the annotations must be strings, as
 under `from __future__ import annotations`). `dumps` writes a record back,
-and `csv_text` writes a table.
+and `csv_text` writes a table (`csv_line` one row of it).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 from functools import cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DataError
 
@@ -104,6 +104,20 @@ def read_jsonl(path, build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
             yield lineno, record
 
 
+def read_unique_jsonl(path, build: Callable[[dict], T], key: Callable[[T], Hashable],
+                      what: str) -> list[T]:
+    """`build(obj)` for each line, as `read_jsonl` reads them; a row whose
+    `key` an earlier row has raises DataError naming the file, id and line."""
+    rows: list[T] = []
+    seen: set = set()
+    for lineno, row in read_jsonl(path, build):
+        if (k := key(row)) in seen:
+            raise DataError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
+        seen.add(k)
+        rows.append(row)
+    return rows
+
+
 # What `json.dumps(obj, sort_keys=True, ensure_ascii=False)` builds per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
@@ -117,8 +131,13 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     """The CSV lines of `header` and each row: a bool cell reads `true` or
     `false`, a float has two decimals, None is empty and anything else is its
     `str`, quoted as RFC 4180 does when it holds a comma, a quote, CR or LF.
-    It does not use the `csv` module, which `profile` and `report` never load."""
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (header, *rows))
+    It does not use the `csv` module, which no command loads."""
+    return "".join(map(csv_line, (header, *rows)))
+
+
+def csv_line(row: Sequence) -> str:
+    """One CSV line of `row`, its cells written as `csv_text` writes them."""
+    return ",".join(map(_csv_cell, row)) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -3,7 +3,9 @@
 Variants combine a shot mode (zero, one, few) with structured reasoning
 on or off. The behavioral directive always leads the prompt so the model
 sees the output contract before anything else; exemplars and the target
-snippet follow, each inside explicit code fences.
+snippet follow, each inside a code fence longer than any backtick run in
+it. A `PromptConfig` carries its exemplars, and `prompted_code` reads the
+target snippet's code back from a rendered prompt.
 
 Wording lives in editable template files, not in code. The layout file
 uses `{{directive}}`, `{{story_format_hint}}`, `{{scot_block}}`,
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -25,7 +27,8 @@ from .corpus import CodeSnippet
 from .errors import DataError
 from .jsonl import decode, dumps, read_jsonl
 
-SHOT_MODES = ("zero", "one", "few")
+# Each shot mode and the fewest and most exemplars it shows.
+SHOT_MODES = {"zero": (0, 0), "one": (1, 1), "few": (1, math.inf)}
 
 PROMPT_VARIANTS = {
     "zero": ("zero", False),
@@ -88,19 +91,19 @@ class PromptConfig:
     scot: bool
     directive: str
     story_format_hint: str = ""
-    few_k: int = 3
+    exemplars: tuple[Exemplar, ...] = ()  # shown in order; SHOT_MODES bounds the count
 
     def __post_init__(self):
         if self.shots not in SHOT_MODES:
             raise DataError(f"unknown shot mode {self.shots!r}")
         if not self.directive:
             raise DataError("directive must be non-empty")
-        if self.few_k < 1:
-            raise DataError(f"few_k must be >= 1, got {self.few_k}")
-
-    @property
-    def expected_exemplars(self) -> int:
-        return {"zero": 0, "one": 1, "few": self.few_k}[self.shots]
+        fewest, most = SHOT_MODES[self.shots]
+        if not fewest <= len(self.exemplars) <= most:
+            raise ExemplarCountError(
+                f"exemplar count mismatch: a {self.shots!r} prompt takes "
+                f"{fewest if fewest == most else f'at least {fewest}'}, got {len(self.exemplars)}"
+            )
 
     def fingerprint(self) -> str:
         return self._fingerprint
@@ -110,7 +113,7 @@ class PromptConfig:
         import hashlib
         payload = dumps({
             "shots": self.shots,
-            "k": self.expected_exemplars,
+            "k": len(self.exemplars),
             "scot": self.scot,
             "directive": self.directive,
             "hint": self.story_format_hint,
@@ -119,19 +122,25 @@ class PromptConfig:
 
 
 def default_prompt_config(variant: str, few_k: int = 3) -> PromptConfig:
-    """Build one of the six named variants with the bundled directive/hint."""
+    """Build one of the six named variants with the bundled directive, hint
+    and exemplars; a few-shot variant shows the first `few_k` of them."""
     if variant not in PROMPT_VARIANTS:
         raise DataError(
             f"undefined prompt variant {variant!r}; choose one of: "
             + ", ".join(sorted(PROMPT_VARIANTS))
         )
+    if few_k < 1:
+        raise DataError(f"few_k must be >= 1, got {few_k}")
     shots, scot = PROMPT_VARIANTS[variant]
+    exemplars = tuple(load_exemplars())[: few_k if shots == "few" else SHOT_MODES[shots][0]]
+    if shots == "few" and len(exemplars) < few_k:
+        raise ExemplarCountError(f"need {few_k} exemplars but only {len(exemplars)} bundled")
     return PromptConfig(
         shots=shots,
         scot=scot,
         directive=_data_text("directive.txt").strip(),
         story_format_hint=_data_text("story_hint.txt").strip(),
-        few_k=few_k,
+        exemplars=exemplars,
     )
 
 
@@ -170,13 +179,15 @@ def load_layout(path: str | Path | None, config: PromptConfig) -> str:
     required = {"directive", "code"}
     if config.scot:
         required.add("scot_block")
-    if config.expected_exemplars:
+    if config.exemplars:
         required.add("exemplars")
     missing = required - found
     if missing:
         raise TemplateError("template missing placeholders: " + ", ".join(sorted(missing)))
     if not text.startswith("{{directive}}"):
         raise TemplateError("template must start with {{directive}}")
+    if not text.rstrip().endswith("{{code}}"):  # `prompted_code` reads the last block
+        raise TemplateError("template must end with {{code}}")
     return text
 
 
@@ -200,27 +211,37 @@ def _bundled_scot_block() -> str:
     return load_scot_block(None)
 
 
+def _fenced(code: str, language_tag: str) -> str:
+    """`code` in a fenced block. The fence is longer than any backtick run in
+    the code, and at least three backticks, so no line of the code closes it."""
+    fence = "```"
+    if "`" in code:  # a quick scan; most code holds no backtick
+        fence = "`" * max(3, 1 + max(map(len, re.findall("`+", code))))
+    return f"{fence}{language_tag}\n{code}\n{fence}"
+
+
+def prompted_code(text: str) -> str | None:
+    """The code of the fenced block that ends a prompt, as `shown_code` gives
+    it; None when the text does not end in a fenced block."""
+    body, _, fence = text.rstrip().rpartition("\n")
+    opening = body.rfind(fence) if len(fence) >= 3 and not fence.strip("`") else -1
+    _, newline, code = body[opening:].partition("\n")
+    return code if opening >= 0 and newline else None
+
+
 def _exemplar_block(exemplars: Sequence[Exemplar], language_tag: str) -> str:
-    parts = []
-    for i, ex in enumerate(exemplars, start=1):
-        parts.append(
-            f"Example {i}:\n```{language_tag}\n{ex.code.rstrip()}\n```\nUser story: {ex.story}"
-        )
-    return "\n\n".join(parts)
+    return "\n\n".join(
+        f"Example {i}:\n{_fenced(ex.code.rstrip(), language_tag)}\nUser story: {ex.story}"
+        for i, ex in enumerate(exemplars, start=1)
+    )
 
 
-def render_prompt(
-    config: PromptConfig,
-    snippet: CodeSnippet,
-    exemplars: Sequence[Exemplar] = (),
-) -> RenderedPrompt:
+def render_prompt(config: PromptConfig, snippet: CodeSnippet,
+                  exemplars: Sequence[Exemplar] | None = None) -> RenderedPrompt:
     """Assemble the prompt text for one snippet. Pure: identical inputs give
-    byte-identical text."""
-    if len(exemplars) != config.expected_exemplars:
-        raise ExemplarCountError(
-            f"exemplar count mismatch: config {config.shots!r} expects "
-            f"{config.expected_exemplars}, got {len(exemplars)}"
-        )
+    byte-identical text. `exemplars`, when given, are shown in place of the config's."""
+    if exemplars is not None:
+        config = replace(config, exemplars=tuple(exemplars))
     if not snippet.source_text.strip():
         raise EmptySnippetError(f"snippet {snippet.id} has empty source")
 
@@ -228,8 +249,8 @@ def render_prompt(
         "directive": config.directive,
         "story_format_hint": config.story_format_hint,
         "scot_block": _bundled_scot_block() if config.scot else "",
-        "exemplars": _exemplar_block(exemplars, snippet.language_tag),
-        "code": f"```{snippet.language_tag}\n{shown_code(snippet.source_text)}\n```",
+        "exemplars": _exemplar_block(config.exemplars, snippet.language_tag),
+        "code": _fenced(shown_code(snippet.source_text), snippet.language_tag),
     }
     text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], _bundled_layout(config))
     text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"

@@ -30,7 +30,7 @@ from .metrics import (
     rouge_l,
     tokenize,
 )
-from .prompts import Exemplar, PromptConfig, render_prompt
+from .prompts import PromptConfig, render_prompt
 from .story import canonical_text, parse_stories
 
 if TYPE_CHECKING:
@@ -199,7 +199,6 @@ def run_experiment(
     dataset: Sequence[DatasetRecord],
     gateway: Gateway,
     prompt_config: PromptConfig,
-    exemplars: Sequence[Exemplar] = (),
     embedder=None,
     metric_names: Sequence[str] = DEFAULT_METRICS,
     results_path: str | Path | None = None,
@@ -228,7 +227,7 @@ def run_experiment(
 
     def generate(entry: DatasetRecord):
         """(rendered prompt, completion), or the GatewayError that ended the call."""
-        rendered = render_prompt(prompt_config, entry.snippet, exemplars)
+        rendered = render_prompt(prompt_config, entry.snippet)
         try:
             return rendered, gateway.complete(rendered)
         except GatewayError as exc:

@@ -138,6 +138,14 @@ class AlwaysFailingProvider:
         raise ProviderRejectedError("synthetic rejection")
 
 
+def ledger_cost(path: str | Path) -> float:
+    """The sum of a ledger's `cost_usd` cells; 0.0 before its first row."""
+    if not Path(path).exists():
+        return 0.0
+    with open(path, newline="", encoding="utf-8") as fh:
+        return sum(float(row["cost_usd"]) for row in csv.DictReader(fh))
+
+
 def read_report(path: str | Path, format: str = "csv") -> list[dict]:
     """The rows of a report that `write_report_rows` wrote, typed as written."""
     path = Path(path)

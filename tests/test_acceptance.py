@@ -38,7 +38,6 @@ from restory.prompts import (
     PROMPT_VARIANTS,
     SCOT_PRIMITIVES,
     default_prompt_config,
-    load_exemplars,
     render_prompt,
 )
 from restory.runner import (
@@ -49,7 +48,7 @@ from restory.runner import (
     run_experiment,
 )
 
-from conftest import close_at_teardown, make_dataset, make_snippet
+from conftest import close_at_teardown, ledger_cost, make_dataset, make_snippet
 from oracles import oracle_bleu, oracle_rouge_l
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
@@ -218,9 +217,8 @@ def test_prompt_variant_contracts():
     assert len({c.fingerprint() for c in configs.values()}) == 6
 
     snippet = make_snippet("mid", 20)
-    exemplars = load_exemplars()
     for name, config in configs.items():
-        rendered = render_prompt(config, snippet, exemplars[: config.expected_exemplars])
+        rendered = render_prompt(config, snippet)
         assert rendered.text.startswith(config.directive)
         has_primitives = all(p in rendered.text.lower() for p in SCOT_PRIMITIVES)
         if config.scot:
@@ -229,7 +227,7 @@ def test_prompt_variant_contracts():
             assert "sequence of operations" not in rendered.text, name
 
     small = render_prompt(configs["zero"], make_snippet("tiny", 5))
-    large = render_prompt(configs["few-scot"], make_snippet("large", 345), exemplars[:3])
+    large = render_prompt(configs["few-scot"], make_snippet("large", 345))
     assert small.estimated_tokens < large.estimated_tokens
 
 
@@ -362,8 +360,8 @@ def test_cost_ledger(tmp_path):
                                         cache_dir=tmp_path / "cache",
                                         ledger_path=tmp_path / "ledger.csv",
                                         sleep=lambda s: None))
-    before = gateway.ledger.total_cost()
+    before = ledger_cost(gateway.ledger.path)
     result = run_experiment(dataset, gateway, default_prompt_config("zero"))
-    delta = gateway.ledger.total_cost() - before
+    delta = ledger_cost(gateway.ledger.path) - before
     assert abs(result.total_cost_usd - delta) < 1e-12
     assert result.total_cost_usd > 0

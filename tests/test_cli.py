@@ -27,6 +27,17 @@ def test_unknown_flag_exits_1(capsys):
     assert dispatch(["kappa", "--labelz", "x"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--dim", "0"], ["calibrate", "--dim", "-3"], ["calibrate", "--dim", "x"],
+     ["sample", "--in", "d.jsonl", "--seed", "1", "--per-stratum", "0"]],
+    ids=["dim-zero", "dim-negative", "dim-not-a-number", "per-stratum-zero"],
+)
+def test_flag_value_below_one_exits_1(capsys, argv):
+    assert dispatch(argv) == 1
+    assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert dispatch(["--help"]) == 0
     assert "profile" in capsys.readouterr().out
@@ -150,8 +161,9 @@ def test_generate_rerun_is_byte_identical_with_zero_calls(dataset_35, tmp_path, 
 
 @pytest.mark.parametrize(
     "code",
-    ["int a = 1;\r\nint b = 2;\r\n", "int a = 1;\n   \n", "int a = 1;\n\n\nint b = 2;\n"],
-    ids=["crlf", "trailing-blank-line", "two-blank-lines"],
+    ["int a = 1;\r\nint b = 2;\r\n", "int a = 1;\n   \n", "int a = 1;\n\n\nint b = 2;\n",
+     'const char* s = "```";\n'],
+    ids=["crlf", "trailing-blank-line", "two-blank-lines", "backtick-fence"],
 )
 def test_generate_echo_finds_code_as_the_prompt_shows_it(tmp_path, capsys, code):
     dataset = tmp_path / "dataset.jsonl"
@@ -478,8 +490,10 @@ def test_kappa_bad_file_exits_2(tmp_path):
     "line, message",
     [("[1, 2]", "line 2 is not an object"),
      ('{"id": 1, "a": [1], "b": [1]}', "bad record on line 2: unhashable type: 'list'"),
-     ('{"id": 1, "a": "x", "b": {"y": 1}}', "bad record on line 2: unhashable type: 'dict'")],
-    ids=["not-an-object", "list-labels", "dict-label"],
+     ('{"id": 1, "a": "x", "b": {"y": 1}}', "bad record on line 2: unhashable type: 'dict'"),
+     ('{"id": [1], "a": "x", "b": "x"}', "bad record on line 2: unhashable type: 'list'"),
+     ('{"id": 0, "a": "x", "b": "y"}', "duplicate item id 0 on line 2")],
+    ids=["not-an-object", "list-labels", "dict-label", "list-id", "duplicate-id"],
 )
 def test_kappa_bad_record_exits_2_naming_path_and_line(tmp_path, capsys, line, message):
     labels = tmp_path / "bad.jsonl"

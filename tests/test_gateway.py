@@ -32,13 +32,14 @@ from restory.gateway import (
     estimate_cost,
     model_spec,
 )
-from restory.prompts import default_prompt_config, load_exemplars, render_prompt
+from restory.prompts import default_prompt_config, render_prompt
 
 from conftest import (
     AlwaysFailingProvider,
     CountingProvider,
     FlakyProvider,
     close_at_teardown,
+    ledger_cost,
     make_snippet,
 )
 from oracles import oracle_cache_key
@@ -278,8 +279,7 @@ def test_ledger_rows_and_total(tmp_path):
     assert len(rows) == 3
     assert [row["cached"] for row in rows] == ["false", "true", "false"]
     assert float(rows[1]["cost_usd"]) == 0.0
-    ledger = Ledger(tmp_path / "ledger.csv")
-    assert abs(ledger.total_cost() - gateway.spent_usd) < 1e-12
+    assert abs(ledger_cost(tmp_path / "ledger.csv") - gateway.spent_usd) < 1e-12
     assert first.cost_usd > 0
 
 
@@ -312,7 +312,7 @@ def test_ledger_header_is_written_once_across_close_and_reopen(tmp_path):
     other.close()
     lines = _ledger_lines(path)
     assert lines.count(",".join(Ledger.COLUMNS)) == 1 and len(lines) == 4
-    assert Ledger(path).total_cost() == 0.75
+    assert ledger_cost(path) == 0.75
 
 
 def test_ledger_writes_its_header_into_an_empty_file(tmp_path):
@@ -322,7 +322,28 @@ def test_ledger_writes_its_header_into_an_empty_file(tmp_path):
     ledger.append("m", 1, 1, 0.5, cached=False)
     ledger.close()
     assert _ledger_lines(path)[0] == ",".join(Ledger.COLUMNS)
-    assert ledger.total_cost() == 0.5
+    assert ledger_cost(path) == 0.5
+
+
+@pytest.mark.parametrize(
+    "before",
+    [b"", b"timestamp,model,input_tokens,output_tokens,cost_usd,cached\r\n"
+          b"2026-01-01T00:00:00+00:00,old,1,2,0.25,false\r\n"],
+    ids=["new", "after-crlf-rows"],
+)
+def test_ledger_cells_holding_commas_and_quotes_read_back_with_csv(tmp_path, before):
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(before)
+    ledger = Ledger(path)
+    ledger.append('odd, "quoted" model', 3, 4, 0.1, cached=True)
+    ledger.close()
+    assert path.read_bytes().endswith(b',"odd, ""quoted"" model",3,4,0.1,true\n')
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == (2 if before else 1)
+    last = rows[-1]
+    assert (last["model"], last["input_tokens"], last["cost_usd"], last["cached"]) == \
+        ('odd, "quoted" model', "3", "0.1", "true")
 
 
 def test_ledger_close_is_idempotent(tmp_path):
@@ -420,12 +441,11 @@ def test_static_provider_fixed_text():
 def test_echo_provider_maps_code_from_prompt():
     snippet = make_snippet("s", 6)
     provider = EchoProvider({snippet.source_text: "the canned story"})
-    rendered = render_prompt(default_prompt_config("one-scot"), snippet,
-                             exemplars=load_exemplars()[:1])
+    rendered = render_prompt(default_prompt_config("one-scot"), snippet)
     assert provider.generate("m", rendered.text, GenerationConfig()).text == "the canned story"
 
 
-@given(st.text(alphabet="\n\r\t x;", min_size=1).filter(str.strip))
+@given(st.text(alphabet="\n\r\t x;`", min_size=1).filter(str.strip))
 def test_echo_provider_finds_any_code_as_the_prompt_shows_it(code):
     rendered = render_prompt(default_prompt_config("zero"), CodeSnippet("s", code, "cpp", 1, 0))
     provider = EchoProvider({code: "the canned story"})

@@ -21,7 +21,7 @@ from dataclasses import replace
 from restory.corpus import CodeSnippet, DatasetRecord
 from restory.gateway import Gateway, GenerationConfig, ProviderResponse, model_spec
 from restory.metrics import OneHotEmbedder, tokenize
-from restory.prompts import PROMPT_VARIANTS, default_prompt_config, load_exemplars
+from restory.prompts import PROMPT_VARIANTS, default_prompt_config
 from restory.runner import collect_report_rows, load_results, run_experiment, write_report_rows
 from restory.story import canonical_text, parse_stories
 
@@ -119,7 +119,6 @@ def test_golden_run_is_byte_identical(tmp_path):
     dataset = golden_dataset()
     provider = PerturbingProvider(dataset)
     embedder = OneHotEmbedder(provider.vocabulary(dataset))
-    exemplars = load_exemplars()
     records = []
     digests = {}
     for variant in sorted(PROMPT_VARIANTS):
@@ -128,9 +127,7 @@ def test_golden_run_is_byte_identical(tmp_path):
                           GenerationConfig(min_output_tokens=1),
                           cache_dir=tmp_path / "cache")
         path = tmp_path / variant / "results.jsonl"
-        run_experiment(dataset, gateway, config,
-                       exemplars=exemplars[: config.expected_exemplars],
-                       embedder=embedder, metric_names=METRICS,
+        run_experiment(dataset, gateway, config, embedder=embedder, metric_names=METRICS,
                        results_path=path, prompt_label=variant)
         digests[variant] = _sha(path)
         records.extend(load_results(path)[0])

@@ -18,7 +18,9 @@ from restory.prompts import (
     load_exemplars,
     load_layout,
     load_scot_block,
+    prompted_code,
     render_prompt,
+    shown_code,
 )
 
 from conftest import make_snippet
@@ -26,10 +28,6 @@ from conftest import make_snippet
 
 def _config(variant: str, few_k: int = 3) -> PromptConfig:
     return default_prompt_config(variant, few_k=few_k)
-
-
-def _exemplars(n: int) -> list[Exemplar]:
-    return load_exemplars()[:n]
 
 
 def test_six_variants_have_distinct_fingerprints():
@@ -48,7 +46,7 @@ def test_zero_shot_plain_has_no_exemplars_or_reasoning():
 
 
 def test_one_shot_scot_contains_one_exemplar_and_primitives():
-    rendered = render_prompt(_config("one-scot"), make_snippet("s", 5), _exemplars(1))
+    rendered = render_prompt(_config("one-scot"), make_snippet("s", 5))
     assert rendered.text.count("Example 1:") == 1
     assert "Example 2:" not in rendered.text
     for primitive in SCOT_PRIMITIVES:
@@ -59,15 +57,38 @@ def test_directive_is_prefix_for_all_variants():
     snippet = make_snippet("s", 12)
     for name in PROMPT_VARIANTS:
         config = _config(name)
-        rendered = render_prompt(config, snippet, _exemplars(config.expected_exemplars))
+        rendered = render_prompt(config, snippet)
         assert rendered.text.startswith(config.directive)
 
 
 def test_exemplar_count_mismatch():
-    with pytest.raises(ExemplarCountError, match="exemplar count mismatch"):
-        render_prompt(_config("few"), make_snippet("s", 5), _exemplars(2))
-    with pytest.raises(ExemplarCountError):
-        render_prompt(_config("zero"), make_snippet("s", 5), _exemplars(1))
+    exemplars = tuple(load_exemplars())
+    for shots, count, takes in [("zero", 1, "0"), ("zero", 3, "0"), ("one", 0, "1"),
+                                ("one", 2, "1"), ("one", 3, "1"), ("few", 0, "at least 1")]:
+        expected = f"exemplar count mismatch: a '{shots}' prompt takes {takes}, got {count}"
+        with pytest.raises(ExemplarCountError, match=expected):
+            PromptConfig(shots=shots, scot=False, directive="d", exemplars=exemplars[:count])
+
+
+@pytest.mark.parametrize("variant, few_k, count", [
+    ("zero", 3, 0), ("one-scot", 3, 1), ("few", 1, 1), ("few-scot", 2, 2), ("few", 3, 3),
+])
+def test_default_config_shows_the_first_bundled_exemplars(variant, few_k, count):
+    config = default_prompt_config(variant, few_k=few_k)
+    assert config.exemplars == tuple(load_exemplars()[:count])
+    text = render_prompt(config, make_snippet("s", 5)).text
+    assert [f"Example {i}:" in text for i in range(1, 5)] == [i <= count for i in range(1, 5)]
+
+
+def test_exemplars_passed_to_render_stand_in_for_the_configs():
+    snippet = make_snippet("s", 5)
+    bundled = load_exemplars()
+    config = _config("few-scot")
+    assert render_prompt(config, snippet, bundled[:3]) == render_prompt(config, snippet)
+    shown = render_prompt(_config("one"), snippet, [bundled[2]]).text
+    assert bundled[2].story in shown and bundled[0].story not in shown
+    with pytest.raises(ExemplarCountError, match="'zero' prompt takes 0, got 1"):
+        render_prompt(_config("zero"), snippet, bundled[:1])
 
 
 def test_empty_snippet_rejected():
@@ -82,8 +103,8 @@ def test_empty_snippet_rejected():
 def test_rendering_is_deterministic():
     config = _config("few-scot")
     snippet = make_snippet("s", 40)
-    a = render_prompt(config, snippet, _exemplars(3))
-    b = render_prompt(config, snippet, _exemplars(3))
+    a = render_prompt(config, snippet)
+    b = render_prompt(config, snippet)
     assert a.text == b.text
     assert a.config_fingerprint == b.config_fingerprint
     assert a.estimated_tokens == b.estimated_tokens
@@ -93,15 +114,34 @@ def test_rendering_is_deterministic():
 def test_blank_line_runs_in_code_collapse_to_one_blank_line(variant):
     source = "int a = 1;\n\n\nint b = 2;\n\n\n\nint c = 3;\n\n\n\n\n\n\nint d = 4;\n"
     config = _config(variant)
-    rendered = render_prompt(config, CodeSnippet.from_source("blank-runs", source),
-                             _exemplars(config.expected_exemplars))
+    rendered = render_prompt(config, CodeSnippet.from_source("blank-runs", source))
     assert "int a = 1;\n\nint b = 2;\n\nint c = 3;\n\nint d = 4;\n```" in rendered.text
     assert "\n\n\n" not in rendered.text
 
 
+@pytest.mark.parametrize("variant", sorted(PROMPT_VARIANTS))
+@given(code=st.text(alphabet="`\n x;", min_size=1).filter(str.strip))
+def test_prompted_code_reads_back_code_holding_backtick_runs(variant, code):
+    rendered = render_prompt(_config(variant), CodeSnippet("s", code, "cpp", 1, 0))
+    assert prompted_code(rendered.text) == shown_code(code)
+
+
+def test_fence_outgrows_the_longest_backtick_run_and_code_without_one_keeps_three():
+    text = render_prompt(_config("zero"), CodeSnippet("s", "a ``` b ````` c\n", "cpp", 1, 0)).text
+    assert text.endswith("\n``````cpp\na ``` b ````` c\n``````\n")
+    text = render_prompt(_config("zero"), CodeSnippet("s", "a ` b\n", "cpp", 1, 0)).text
+    assert text.endswith("\n```cpp\na ` b\n```\n")
+    config = PromptConfig(shots="one", scot=False, directive="d",
+                          exemplars=(Exemplar("x ```` y", "As a u, I want g."),))
+    text = render_prompt(config, make_snippet("s", 5)).text
+    assert "Example 1:\n`````cpp\nx ```` y\n`````\n" in text
+    for not_fenced in ["int x;", "```cpp\nint x;", "``\nint x;\n``", "int x;\n```"]:
+        assert prompted_code(not_fenced) is None
+
+
 def test_token_envelope_small_zero_vs_large_few_scot():
     small = render_prompt(_config("zero"), make_snippet("small", 5))
-    large = render_prompt(_config("few-scot"), make_snippet("large", 345), _exemplars(3))
+    large = render_prompt(_config("few-scot"), make_snippet("large", 345))
     assert small.estimated_tokens < large.estimated_tokens
 
 
@@ -139,6 +179,15 @@ def test_layout_must_start_with_directive(tmp_path):
     path.write_text("preamble\n{{directive}}\n{{code}}\n", encoding="utf-8")
     with pytest.raises(TemplateError, match="start with"):
         load_layout(path, _config("zero"))
+
+
+def test_layout_must_end_with_code(tmp_path):
+    path = tmp_path / "layout.txt"
+    path.write_text("{{directive}}\n{{code}}\nThanks.\n", encoding="utf-8")
+    with pytest.raises(TemplateError, match="end with"):
+        load_layout(path, _config("zero"))
+    path.write_text("{{directive}}\n{{code}}\n\n", encoding="utf-8")
+    load_layout(path, _config("zero"))  # trailing whitespace is fine
 
 
 def test_scot_block_loader_requires_primitives(tmp_path):
@@ -181,11 +230,14 @@ def test_prompt_config_validation():
         PromptConfig(shots="many", scot=False, directive="d")
     with pytest.raises(DataError):
         PromptConfig(shots="zero", scot=False, directive="")
-    with pytest.raises(DataError):
-        PromptConfig(shots="few", scot=False, directive="d", few_k=0)
+    with pytest.raises(ExemplarCountError):
+        PromptConfig(shots="few", scot=False, directive="d")
 
 
 def test_few_and_one_fingerprints_differ_even_at_k_one():
-    one = PromptConfig(shots="one", scot=False, directive="d", story_format_hint="h")
-    few1 = PromptConfig(shots="few", scot=False, directive="d", story_format_hint="h", few_k=1)
+    exemplars = tuple(load_exemplars()[:1])
+    one = PromptConfig(shots="one", scot=False, directive="d", story_format_hint="h",
+                       exemplars=exemplars)
+    few1 = PromptConfig(shots="few", scot=False, directive="d", story_format_hint="h",
+                        exemplars=exemplars)
     assert one.fingerprint() != few1.fingerprint()

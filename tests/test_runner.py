@@ -9,11 +9,12 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from restory.corpus import CodeSnippet, DatasetRecord
 from restory.errors import DataError
 from restory.gateway import BudgetExceededError, Gateway, ModelSpec, ProviderRejectedError
 from restory.jsonl import csv_text
 from restory.metrics import FidelityBand, HashEmbedder, OneHotEmbedder, ScoreTriple, tokenize
-from restory.prompts import ExemplarCountError, default_prompt_config
+from restory.prompts import EmptySnippetError, default_prompt_config
 from restory.runner import (
     AnnotationSet,
     CalibrationPair,
@@ -35,6 +36,7 @@ from conftest import (
     AlwaysFailingProvider,
     CountingProvider,
     close_at_teardown,
+    ledger_cost,
     make_dataset,
     read_report,
 )
@@ -139,17 +141,14 @@ def test_warm_rerun_zero_provider_calls_and_identical_bytes(tmp_path):
     dataset = make_dataset([5, 150, 349])
     provider = EchoByPrompt(dataset)
     config = default_prompt_config("one")
-    from restory.prompts import load_exemplars
-
-    exemplars = load_exemplars()[:1]
     first_path = tmp_path / "first.jsonl"
     second_path = tmp_path / "second.jsonl"
 
     cold = run_experiment(dataset, _gateway(provider, tmp_path), config,
-                          exemplars=exemplars, results_path=first_path, prompt_label="one")
+                          results_path=first_path, prompt_label="one")
     calls_after_cold = provider.calls
     warm = run_experiment(dataset, _gateway(provider, tmp_path), config,
-                          exemplars=exemplars, results_path=second_path, prompt_label="one")
+                          results_path=second_path, prompt_label="one")
     assert provider.calls == calls_after_cold  # zero new provider calls
     assert warm.provider_calls == 0
     assert first_path.read_bytes() == second_path.read_bytes()
@@ -161,9 +160,9 @@ def test_run_total_cost_equals_ledger_delta(tmp_path):
     dataset = make_dataset([5, 25, 45])
     provider = EchoByPrompt(dataset)
     gateway = _gateway(provider, tmp_path)
-    before = gateway.ledger.total_cost()
+    before = ledger_cost(gateway.ledger.path)
     result = run_experiment(dataset, gateway, default_prompt_config("zero"))
-    after = gateway.ledger.total_cost()
+    after = ledger_cost(gateway.ledger.path)
     assert abs(result.total_cost_usd - (after - before)) < 1e-12
     assert abs(sum(r.cost_usd for r in result.records) - result.total_cost_usd) < 1e-12
 
@@ -317,9 +316,11 @@ def test_concurrent_render_error_propagates_and_leaks_no_handle(tmp_path, monkey
     monkeypatch.setattr(runner, "open", recording_open, raising=False)
     threads_before = set(threading.enumerate())
     dataset = make_dataset([5, 15, 25])
-    with pytest.raises(ExemplarCountError):
+    blank = CodeSnippet("blank", " \n\t\n", "cpp", 1, 0)  # renders to EmptySnippetError
+    dataset[0] = DatasetRecord(snippet=blank, reference_story=dataset[0].reference_story)
+    with pytest.raises(EmptySnippetError):
         run_experiment(dataset, _gateway(CountingProvider(), tmp_path),
-                       default_prompt_config("one"), exemplars=(),
+                       default_prompt_config("one"),
                        results_path=tmp_path / "results.jsonl", concurrency=2)
     assert len(opened) == 1 and opened[0].closed
     assert (tmp_path / "results.jsonl").read_bytes() == b""
