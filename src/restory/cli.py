@@ -128,9 +128,11 @@ def _manifest_value(key: str, annotation: str, text: str):
 
 def parse_manifest(path: str | Path) -> RunManifest:
     """Keys and types are RunManifest's fields; those without a default are
-    required, and the rest default to RunManifest's values."""
+    required, and the rest default to RunManifest's values. A key may be
+    given once."""
     known = {f.name: f for f in fields(RunManifest)}
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -147,6 +149,9 @@ def parse_manifest(path: str | Path) -> RunManifest:
         key = key.strip()
         if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown manifest key {key!r}")
+        if (first := first_line.setdefault(key, lineno)) != lineno:
+            raise UsageError(f"{path}:{lineno}: duplicate manifest key {key!r} "
+                             f"(first on line {first})")
         values[key] = value.strip()
 
     for f in known.values():
@@ -272,7 +277,6 @@ def _cmd_generate(args) -> int:
             model,
             generation,
             cache_dir=cache_dir,
-            ledger_path=cache_dir / "ledger.csv",
             retries=manifest.retries,
             budget_usd=manifest.budget_usd,
         ) as gateway:

@@ -259,7 +259,7 @@ def _record_from_json(obj: dict) -> DatasetRecord:
     try:
         return decode(DatasetRecord, obj,
                       snippet=lambda line: decode(CodeSnippet, line, _SNIPPET_KEYS))
-    except (TypeError, DataError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"record {obj.get('id')!r}: {exc}") from exc
 
 

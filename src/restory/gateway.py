@@ -30,9 +30,11 @@ from pathlib import Path
 
 from .errors import BudgetExceededError, DataError, GatewayError
 from .jsonl import csv_line, decode, dumps
-from .prompts import RenderedPrompt, estimate_tokens, prompted_code, shown_code
+from .prompts import estimate_tokens, prompted_code, shown_code
 
 logger = logging.getLogger(__name__)
+
+BACKOFF_BASE_S = 1.0  # the first retry's wait; each later one doubles, plus up to 10% jitter
 
 
 class TransientProviderError(GatewayError):
@@ -156,8 +158,8 @@ class HttpProvider:
     JSON back with `text` (or `output`) and optional token counts. The API
     key is read from the named environment variable at call time. The
     stdlib client verifies HTTPS against the system trust store and takes
-    proxies from the environment when the first call builds its opener; a
-    redirect is never followed, because it would turn the POST into a GET.
+    proxies from the environment when the provider is made; a redirect is
+    never followed, because it would turn the POST into a GET.
     """
 
     RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
@@ -166,8 +168,7 @@ class HttpProvider:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self._opener = None
-        self._opener_lock = threading.Lock()
+        self._opener = _build_opener()
 
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
         import http.client
@@ -177,9 +178,6 @@ class HttpProvider:
         # urllib would also open file:, ftp: and data: URLs.
         if not self.endpoint.lower().startswith(("http://", "https://")):
             raise ProviderRejectedError(f"endpoint {self.endpoint!r} is not an http(s) URL")
-        with self._opener_lock:
-            if self._opener is None:
-                self._opener = _build_opener()
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
@@ -323,7 +321,9 @@ class Ledger:
 class Gateway:
     """One model + one provider + shared cache, retry policy, and budget.
 
-    `close()`, or leaving a `with Gateway(...)` block, closes the ledger.
+    With a `cache_dir`, every completion, hit or miss, appends a row to the
+    ledger `cache_dir / "ledger.csv"`; `close()`, or leaving a
+    `with Gateway(...)` block, closes it.
     """
 
     def __init__(
@@ -332,9 +332,7 @@ class Gateway:
         model: ModelSpec,
         config: GenerationConfig | None = None,
         cache_dir: str | Path | None = None,
-        ledger_path: str | Path | None = None,
         retries: int = 3,
-        backoff_base: float = 1.0,
         budget_usd: float | None = None,
         sleep=time.sleep,
         rng: random.Random | None = None,
@@ -343,9 +341,8 @@ class Gateway:
         self.model = model
         self.config = config or GenerationConfig()
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.ledger = Ledger(ledger_path) if ledger_path else None
+        self.ledger = Ledger(self.cache_dir / "ledger.csv") if self.cache_dir else None
         self.retries = retries
-        self.backoff_base = backoff_base
         self.budget_usd = budget_usd
         self._sleep = sleep
         self._rng = rng or random.Random()
@@ -423,14 +420,13 @@ class Gateway:
 
     # -- completion ----------------------------------------------------
 
-    def complete(self, prompt: RenderedPrompt | str) -> CompletionResult:
-        """Resolve a prompt to a completion, via cache when possible.
+    def complete(self, prompt_text: str) -> CompletionResult:
+        """Resolve a prompt's text to a completion, via cache when possible.
 
         Cache hits add nothing to the ledger total or the budget; misses
         call the provider with up to `retries` retries on transient errors
         and persist the result atomically before accounting runs.
         """
-        prompt_text = prompt.text if isinstance(prompt, RenderedPrompt) else prompt
         key = self._cache_key(prompt_text)
 
         hit = self._cache_load(key)
@@ -458,7 +454,7 @@ class Gateway:
                     raise TransientExhaustedError(
                         f"provider still failing after {self.retries} retries: {exc}"
                     ) from exc
-                delay = self.backoff_base * (2 ** attempt) * (1 + 0.1 * self._rng.random())
+                delay = BACKOFF_BASE_S * (2 ** attempt) * (1 + 0.1 * self._rng.random())
                 self._sleep(delay)
                 attempt += 1
         latency_ms = int((time.monotonic() - start) * 1000)

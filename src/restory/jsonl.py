@@ -20,28 +20,23 @@ from .errors import DataError
 T = TypeVar("T")
 
 # Annotation name -> (accepted types, how an error names it). An int passes
-# for a float; a bool never passes for a number.
+# for a float; a bool never passes for a number, and null never passes.
 _KINDS = {
     "str": ((str,), "a string"),
     "int": ((int,), "an int"),
     "float": ((int, float), "a number"),
     "bool": ((bool,), "a bool"),
-    "None": ((type(None),), "null"),
 }
 
 
 @cache
 def _schema(cls: type) -> tuple[tuple[str, tuple | None, str, bool], ...]:
     """(name, accepted types, description, required) per field of `cls`.
-    Accepted types are None for a field whose annotation is not made of
-    `_KINDS` names; `decode` must be told how to build such a field."""
+    Accepted types are None for a field whose annotation is not a `_KINDS`
+    name; `decode` must be told how to build such a field."""
     table = []
     for f in fields(cls):
-        parts = [part.strip() for part in f.type.split("|")]
-        kinds, names = None, ""
-        if all(part in _KINDS for part in parts):
-            kinds = tuple(t for part in parts for t in _KINDS[part][0])
-            names = " or ".join(_KINDS[part][1] for part in parts)
+        kinds, names = _KINDS.get(f.type, (None, ""))
         required = f.default is MISSING and f.default_factory is MISSING
         table.append((f.name, kinds, names, required))
     return tuple(table)
@@ -53,9 +48,10 @@ def decode(cls: type[T], obj: dict, keys: Mapping[str, str] | None = None,
 
     Each field is read from the key of its name (or `keys[name]`) and must
     have its annotated type; a missing key raises KeyError unless the field
-    has a default, and a wrong type raises TypeError. A field named in
-    `build` is instead `build[name](obj)`. Fields are taken in declaration
-    order, so the first bad one is reported.
+    has a default, a wrong type raises TypeError, and a string with no UTF-8
+    form (a lone surrogate, as a `\\ud800` escape gives) raises ValueError.
+    A field named in `build` is instead `build[name](obj)`. Fields are
+    taken in declaration order, so the first bad one is reported.
     """
     kwargs = {}
     for name, kinds, names, required in _schema(cls):
@@ -66,6 +62,12 @@ def decode(cls: type[T], obj: dict, keys: Mapping[str, str] | None = None,
             # Parsed JSON holds exact classes: a bool is never an int here.
             if kinds is not None and value.__class__ not in kinds:
                 raise TypeError(f"{key} {value!r} is not {names}")
+            if value.__class__ is str and not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"{key} has no UTF-8 form: a lone surrogate "
+                                     f"at index {exc.start}") from None
         elif required:
             raise KeyError(key)
     return cls(**kwargs)

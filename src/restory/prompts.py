@@ -105,11 +105,8 @@ class PromptConfig:
                 f"{fewest if fewest == most else f'at least {fewest}'}, got {len(self.exemplars)}"
             )
 
-    def fingerprint(self) -> str:
-        return self._fingerprint
-
     @cached_property  # the config is frozen, so its digest is computed once
-    def _fingerprint(self) -> str:
+    def fingerprint(self) -> str:
         import hashlib
         payload = dumps({
             "shots": self.shots,
@@ -147,12 +144,7 @@ def default_prompt_config(variant: str, few_k: int = 3) -> PromptConfig:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    estimated_tokens: int
     config_fingerprint: str
-
-    def __post_init__(self):
-        if self.estimated_tokens < 1:
-            raise DataError("estimated_tokens must be positive")
 
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
@@ -256,8 +248,4 @@ def render_prompt(config: PromptConfig, snippet: CodeSnippet,
     text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
     if not text.startswith(config.directive):
         raise TemplateError("rendered prompt does not begin with the directive")
-    return RenderedPrompt(
-        text=text,
-        estimated_tokens=estimate_tokens(text),
-        config_fingerprint=config.fingerprint(),
-    )
+    return RenderedPrompt(text=text, config_fingerprint=config.fingerprint)

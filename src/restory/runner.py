@@ -229,7 +229,7 @@ def run_experiment(
         """(rendered prompt, completion), or the GatewayError that ended the call."""
         rendered = render_prompt(prompt_config, entry.snippet)
         try:
-            return rendered, gateway.complete(rendered)
+            return rendered, gateway.complete(rendered.text)
         except GatewayError as exc:
             return exc
 

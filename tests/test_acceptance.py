@@ -38,6 +38,7 @@ from restory.prompts import (
     PROMPT_VARIANTS,
     SCOT_PRIMITIVES,
     default_prompt_config,
+    estimate_tokens,
     render_prompt,
 )
 from restory.runner import (
@@ -214,7 +215,7 @@ def test_nloc_and_stratification():
 
 def test_prompt_variant_contracts():
     configs = {name: default_prompt_config(name) for name in PROMPT_VARIANTS}
-    assert len({c.fingerprint() for c in configs.values()}) == 6
+    assert len({c.fingerprint for c in configs.values()}) == 6
 
     snippet = make_snippet("mid", 20)
     for name, config in configs.items():
@@ -228,7 +229,7 @@ def test_prompt_variant_contracts():
 
     small = render_prompt(configs["zero"], make_snippet("tiny", 5))
     large = render_prompt(configs["few-scot"], make_snippet("large", 345))
-    assert small.estimated_tokens < large.estimated_tokens
+    assert estimate_tokens(small.text) < estimate_tokens(large.text)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,6 @@ def test_end_to_end_hermetic_run(tmp_path):
     echo = _EchoByPrompt(dataset)
     gateway = close_at_teardown(Gateway(echo, MODEL, GenerationConfig(min_output_tokens=1),
                                         cache_dir=tmp_path / "cache",
-                                        ledger_path=tmp_path / "ledger.csv",
                                         sleep=lambda s: None))
     first_path = tmp_path / "echo-cold.jsonl"
     cold = run_experiment(dataset, gateway, config, results_path=first_path,
@@ -334,7 +334,6 @@ def test_end_to_end_hermetic_run(tmp_path):
     calls_before = echo.calls
     warm_gateway = close_at_teardown(Gateway(echo, MODEL, GenerationConfig(min_output_tokens=1),
                                              cache_dir=tmp_path / "cache",
-                                             ledger_path=tmp_path / "ledger.csv",
                                              sleep=lambda s: None))
     second_path = tmp_path / "echo-warm.jsonl"
     warm = run_experiment(dataset, warm_gateway, config, results_path=second_path,
@@ -358,7 +357,6 @@ def test_cost_ledger(tmp_path):
     gateway = close_at_teardown(Gateway(_EchoByPrompt(dataset), MODEL,
                                         GenerationConfig(min_output_tokens=1),
                                         cache_dir=tmp_path / "cache",
-                                        ledger_path=tmp_path / "ledger.csv",
                                         sleep=lambda s: None))
     before = ledger_cost(gateway.ledger.path)
     result = run_experiment(dataset, gateway, default_prompt_config("zero"))

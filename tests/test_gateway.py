@@ -49,10 +49,9 @@ NOSLEEP = lambda s: None
 
 
 def _gateway(provider, tmp_path=None, **kwargs):
+    """A gateway caching under `tmp_path / "cache"`, its ledger `ledger.csv` there."""
     cache = tmp_path / "cache" if tmp_path else None
-    ledger = tmp_path / "ledger.csv" if tmp_path else None
-    return close_at_teardown(Gateway(provider, MODEL, cache_dir=cache, ledger_path=ledger,
-                                     sleep=NOSLEEP, **kwargs))
+    return close_at_teardown(Gateway(provider, MODEL, cache_dir=cache, sleep=NOSLEEP, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +130,8 @@ def test_cache_key_depends_on_prompt_and_config(tmp_path):
     gateway.complete("prompt one")
     gateway.complete("prompt two")
     assert provider.calls == 2
-    other = Gateway(provider, MODEL, GenerationConfig(temperature=0.7),
-                    cache_dir=tmp_path / "cache", sleep=NOSLEEP)
+    other = close_at_teardown(Gateway(provider, MODEL, GenerationConfig(temperature=0.7),
+                                      cache_dir=tmp_path / "cache", sleep=NOSLEEP))
     other.complete("prompt one")  # different decoding config -> miss
     assert provider.calls == 3
 
@@ -186,11 +185,11 @@ _ENTRY = {"text": "t", "input_tokens": 1, "output_tokens": 1, "latency_ms": 0,
                             ("cost_usd", None), ("cached", "no"), ("retries", 1.5),
                             ("cost_usd", float("nan")), ("cost_usd", float("inf")),
                             ("cost_usd", -0.5), ("input_tokens", -5), ("output_tokens", -1),
-                            ("latency_ms", -1), ("retries", -1)]],
+                            ("latency_ms", -1), ("retries", -1), ("text", "a\ud800")]],
     ids=["truncated", "list", "text-int", "input-tokens-str", "output-tokens-bool",
          "cost-null", "cached-str", "retries-float", "cost-nan", "cost-inf",
          "cost-negative", "input-tokens-negative", "output-tokens-negative",
-         "latency-negative", "retries-negative"],
+         "latency-negative", "retries-negative", "text-lone-surrogate"],
 )
 def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, caplog, damage):
     provider = CountingProvider("fixed answer")
@@ -215,12 +214,14 @@ def test_cache_store_leaves_another_writers_tmp_file_alone(tmp_path):
     foreign.write_text("half written by another process", encoding="utf-8")
     gateway.complete("describe this")
     assert foreign.read_text(encoding="utf-8") == "half written by another process"
-    assert sorted(p.name for p in cache.iterdir()) == sorted([foreign.name, f"{key}.json"])
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [foreign.name, f"{key}.json", "ledger.csv"])
 
 
 def test_completion_cost_matches_estimate(tmp_path):
     gateway = _gateway(CountingProvider("some text" * 10), tmp_path)
-    result = gateway.complete(render_prompt(default_prompt_config("zero"), make_snippet("s", 4)))
+    result = gateway.complete(
+        render_prompt(default_prompt_config("zero"), make_snippet("s", 4)).text)
     assert abs(result.cost_usd - estimate_cost(result.input_tokens, result.output_tokens, MODEL)) < 1e-9
     assert result.tokens_estimated is True  # CountingProvider reports no usage
 
@@ -256,8 +257,8 @@ def test_rejection_is_not_retried(tmp_path):
 def test_backoff_delays_grow_exponentially(tmp_path):
     delays = []
     provider = FlakyProvider(failures=3)
-    gateway = Gateway(provider, MODEL, cache_dir=tmp_path / "cache",
-                      retries=3, backoff_base=1.0, sleep=delays.append)
+    gateway = close_at_teardown(Gateway(provider, MODEL, cache_dir=tmp_path / "cache",
+                                        retries=3, sleep=delays.append))
     gateway.complete("prompt")
     assert len(delays) == 3
     assert delays[0] < delays[1] < delays[2]
@@ -274,12 +275,12 @@ def test_ledger_rows_and_total(tmp_path):
     first = gateway.complete("p1")
     gateway.complete("p1")  # cached: logged at zero cost
     gateway.complete("p2")
-    with open(tmp_path / "ledger.csv", newline="", encoding="utf-8") as fh:
+    with open(tmp_path / "cache" / "ledger.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert [row["cached"] for row in rows] == ["false", "true", "false"]
     assert float(rows[1]["cost_usd"]) == 0.0
-    assert abs(ledger_cost(tmp_path / "ledger.csv") - gateway.spent_usd) < 1e-12
+    assert abs(ledger_cost(tmp_path / "cache" / "ledger.csv") - gateway.spent_usd) < 1e-12
     assert first.cost_usd > 0
 
 
@@ -375,8 +376,7 @@ def _resource_warnings(tmp_path, use) -> list:
     """ResourceWarnings seen once a gateway that wrote its ledger is gone."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        use(Gateway(CountingProvider(), MODEL, cache_dir=tmp_path / "cache",
-                    ledger_path=tmp_path / "ledger.csv"))
+        use(Gateway(CountingProvider(), MODEL, cache_dir=tmp_path / "cache"))
         gc.collect()
     return [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -397,7 +397,7 @@ def test_gateway_close_and_with_release_the_ledger(tmp_path):
     # The control: a gateway dropped without close leaks its handle.
     assert len(_resource_warnings(tmp_path / "c", lambda g: g.complete("p"))) == 1
     for name in "abc":
-        assert len(_ledger_lines(tmp_path / name / "ledger.csv")) == 2
+        assert len(_ledger_lines(tmp_path / name / "cache" / "ledger.csv")) == 2
 
 
 def test_budget_exceeded_aborts_but_caches(tmp_path):

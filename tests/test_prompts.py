@@ -31,7 +31,7 @@ def _config(variant: str, few_k: int = 3) -> PromptConfig:
 
 
 def test_six_variants_have_distinct_fingerprints():
-    prints = {name: _config(name).fingerprint() for name in PROMPT_VARIANTS}
+    prints = {name: _config(name).fingerprint for name in PROMPT_VARIANTS}
     assert len(set(prints.values())) == 6
 
 
@@ -107,7 +107,6 @@ def test_rendering_is_deterministic():
     b = render_prompt(config, snippet)
     assert a.text == b.text
     assert a.config_fingerprint == b.config_fingerprint
-    assert a.estimated_tokens == b.estimated_tokens
 
 
 @pytest.mark.parametrize("variant", sorted(PROMPT_VARIANTS))
@@ -142,7 +141,7 @@ def test_fence_outgrows_the_longest_backtick_run_and_code_without_one_keeps_thre
 def test_token_envelope_small_zero_vs_large_few_scot():
     small = render_prompt(_config("zero"), make_snippet("small", 5))
     large = render_prompt(_config("few-scot"), make_snippet("large", 345))
-    assert small.estimated_tokens < large.estimated_tokens
+    assert estimate_tokens(small.text) < estimate_tokens(large.text)
 
 
 def test_estimate_tokens_formula_and_errors():
@@ -240,4 +239,4 @@ def test_few_and_one_fingerprints_differ_even_at_k_one():
                        exemplars=exemplars)
     few1 = PromptConfig(shots="few", scot=False, directive="d", story_format_hint="h",
                         exemplars=exemplars)
-    assert one.fingerprint() != few1.fingerprint()
+    assert one.fingerprint != few1.fingerprint

@@ -49,7 +49,6 @@ def _gateway(provider, tmp_path, **kwargs):
 
     return close_at_teardown(Gateway(provider, MODEL, GenerationConfig(min_output_tokens=1),
                                      cache_dir=tmp_path / "cache",
-                                     ledger_path=tmp_path / "ledger.csv",
                                      sleep=lambda s: None, **kwargs))
 
 

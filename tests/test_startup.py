@@ -1,7 +1,8 @@
 """Start-up cost: each command loads only the modules it runs.
 
-numpy and the HTTP client load on first use, and `import restory.cli` loads
-only the modules that parse the command line and the manifest. Each probe
+numpy loads on first use, the HTTP client when an HTTP provider is made,
+and `import restory.cli` loads only the modules that parse the command line
+and the manifest. Each probe
 runs in a fresh interpreter, because this test process already holds them.
 """
 
@@ -71,10 +72,12 @@ before = "urllib.request" in sys.modules
 with socket.socket() as s:
     s.bind(("127.0.0.1", 0))
     port = s.getsockname()[1]
+provider = HttpProvider(f"http://127.0.0.1:{port}/v1", timeout=5)
+made = "urllib.request" in sys.modules
 try:
-    HttpProvider(f"http://127.0.0.1:{port}/v1", timeout=5).generate("m", "p", GenerationConfig())
+    provider.generate("m", "p", GenerationConfig())
 except TransientProviderError:
-    print("transient", before, "urllib.request" in sys.modules, "requests" in sys.modules)
+    print("transient", before, made, "requests" in sys.modules)
 """
 
 
@@ -184,5 +187,5 @@ def test_package_exports_resolve_to_their_home_objects():
         restory.no_such_name
 
 
-def test_http_provider_loads_urllib_on_first_call_and_never_requests():
+def test_http_provider_loads_urllib_when_made_and_never_requests():
     assert _python(_HTTP_PROBE).split() == ["transient", "False", "True", "False"]
