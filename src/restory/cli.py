@@ -177,12 +177,15 @@ def parse_manifest(path: str | Path) -> RunManifest:
     return manifest
 
 
-def _resolve_provider(manifest: RunManifest, dataset):
+def _resolve_provider(path: str, manifest: RunManifest, dataset):
     from . import gateway
     if manifest.provider == "http":
         if not manifest.endpoint:
             raise UsageError("provider = http requires an endpoint key in the manifest")
-        return gateway.HttpProvider(manifest.endpoint, api_key_env=manifest.api_key_env)
+        try:
+            return gateway.HttpProvider(manifest.endpoint, api_key_env=manifest.api_key_env)
+        except ValueError as exc:
+            raise UsageError(f"{path}: bad manifest value: {exc}") from exc
     if manifest.provider == "echo":
         return gateway.EchoProvider(
             {rec.snippet.source_text: rec.reference_story for rec in dataset}
@@ -267,7 +270,7 @@ def _cmd_generate(args) -> int:
     # Loaded and resolved once for every variant of a grid; each variant
     # keeps its own Gateway, so a budget still applies per variant.
     dataset = corpus.load_dataset(manifest.dataset)
-    provider = _resolve_provider(manifest, dataset)
+    provider = _resolve_provider(args.manifest, manifest, dataset)
     base_dir = Path(manifest.output_dir)
     cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
     worst = EXIT_OK

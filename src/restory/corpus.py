@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .jsonl import decode, dumps, read_unique_jsonl
+from .jsonl import decoder, dumps, read_unique_jsonl
 
 SUPPORTED_LANGUAGES = ("cpp",)
 
@@ -240,6 +240,7 @@ _SNIPPET_KEYS = {
     "nloc": "nloc",
     "stratum_index": "stratum",
 }
+_decode_record = decoder(DatasetRecord, snippet=decoder(CodeSnippet, _SNIPPET_KEYS))
 
 
 def record_to_json(record: DatasetRecord) -> str:
@@ -257,8 +258,7 @@ def save_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
 
 def _record_from_json(obj: dict) -> DatasetRecord:
     try:
-        return decode(DatasetRecord, obj,
-                      snippet=lambda line: decode(CodeSnippet, line, _SNIPPET_KEYS))
+        return _decode_record(obj)
     except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"record {obj.get('id')!r}: {exc}") from exc
 
@@ -276,14 +276,19 @@ def profile_files(
     """Measure NLOC for each file; returns (rows, warnings).
 
     Each row is (path, nloc, stratum_index) with stratum None outside the
-    [1, 350] design range. Files that fail to lex are skipped with a warning.
+    [1, 350] design range. Files that fail to lex, and files whose name is
+    not UTF-8 (so that no CSV row can hold it), are skipped with a warning.
     """
     rows: list[tuple[str, int, int | None]] = []
     warnings: list[str] = []
     for p in paths:
         try:
+            str(p).encode("utf-8")
             text = Path(p).read_text(encoding="utf-8")
             nloc = count_nloc(text, language_tag)
+        except UnicodeEncodeError:
+            warnings.append(f"{str(p)!r}: file name is not UTF-8")
+            continue
         except (DataError, UnicodeDecodeError, OSError) as exc:
             warnings.append(f"{p}: {exc}")
             continue

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BudgetExceededError, DataError, GatewayError
-from .jsonl import csv_line, decode, dumps
+from .jsonl import csv_line, decoder, dumps
 from .prompts import estimate_tokens, prompted_code, shown_code
 
 logger = logging.getLogger(__name__)
@@ -144,6 +144,9 @@ def _cache_hit_flag(obj: dict) -> bool:
     return True
 
 
+_decode_entry = decoder(CompletionResult, cached=_cache_hit_flag)
+
+
 @dataclass(frozen=True)
 class ProviderResponse:
     text: str
@@ -165,6 +168,9 @@ class HttpProvider:
     RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
 
     def __init__(self, endpoint: str, api_key_env: str = "RESTORY_API_KEY", timeout: float = 120.0):
+        # urllib would also open file:, ftp: and data: URLs.
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError(f"endpoint {endpoint!r} is not an http(s) URL")
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout = timeout
@@ -175,9 +181,6 @@ class HttpProvider:
         import urllib.error
         import urllib.request
 
-        # urllib would also open file:, ftp: and data: URLs.
-        if not self.endpoint.lower().startswith(("http://", "https://")):
-            raise ProviderRejectedError(f"endpoint {self.endpoint!r} is not an http(s) URL")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
@@ -395,8 +398,7 @@ class Gateway:
         except FileNotFoundError:
             return None
         try:
-            return decode(CompletionResult, json.loads(raw.decode("utf-8")),
-                          cached=_cache_hit_flag)
+            return _decode_entry(json.loads(raw.decode("utf-8")))
         except (ValueError, TypeError, KeyError, DataError) as exc:
             # A miss: the provider's result overwrites the damaged entry.
             logger.warning("ignoring damaged cache entry %s: %s", path, exc)

@@ -2,7 +2,7 @@
 
 Datasets, results, exemplars, calibration pairs and labels are all read by
 `read_jsonl`, so each of their errors names the file and the line in one
-format. `decode` builds a dataclass from one JSON object and type-checks
+format. `decoder(cls)` builds a dataclass from one JSON object and checks
 each field against its annotation (the annotations must be strings, as
 under `from __future__ import annotations`). `dumps` writes a record back,
 and `csv_text` writes a table (`csv_line` one row of it).
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from functools import cache
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DataError
@@ -29,48 +28,52 @@ _KINDS = {
 }
 
 
-@cache
-def _schema(cls: type) -> tuple[tuple[str, tuple | None, str, bool], ...]:
-    """(name, accepted types, description, required) per field of `cls`.
-    Accepted types are None for a field whose annotation is not a `_KINDS`
-    name; `decode` must be told how to build such a field."""
-    table = []
-    for f in fields(cls):
-        kinds, names = _KINDS.get(f.type, (None, ""))
-        required = f.default is MISSING and f.default_factory is MISSING
-        table.append((f.name, kinds, names, required))
-    return tuple(table)
-
-
-def decode(cls: type[T], obj: dict, keys: Mapping[str, str] | None = None,
-           **build: Callable[[dict], object]) -> T:
-    """The `cls` instance that the JSON object `obj` describes.
+def decoder(cls: type[T], keys: Mapping[str, str] | None = None,
+            defaults: Mapping[str, object] | None = None,
+            **build: Callable[[dict], object]) -> Callable[[dict], T]:
+    """The function that builds a `cls` instance from one JSON object.
 
     Each field is read from the key of its name (or `keys[name]`) and must
-    have its annotated type; a missing key raises KeyError unless the field
-    has a default, a wrong type raises TypeError, and a string with no UTF-8
-    form (a lone surrogate, as a `\\ud800` escape gives) raises ValueError.
-    A field named in `build` is instead `build[name](obj)`. Fields are
-    taken in declaration order, so the first bad one is reported.
+    have its annotated type; a missing key raises KeyError unless `defaults`
+    or the field's `default` gives a value, a wrong type raises TypeError,
+    and a string with no UTF-8 form (a lone surrogate, as a `\\ud800` escape
+    gives) raises ValueError. A field named in `build` is instead
+    `build[name](obj)`. Fields are taken in declaration order, so the first
+    bad one is reported. `cls.__post_init__` runs, but not the frozen `__init__`.
     """
-    kwargs = {}
-    for name, kinds, names, required in _schema(cls):
-        if name in build:
-            kwargs[name] = build[name](obj)
-        elif (key := keys.get(name, name) if keys else name) in obj:
-            value = kwargs[name] = obj[key]
-            # Parsed JSON holds exact classes: a bool is never an int here.
-            if kinds is not None and value.__class__ not in kinds:
-                raise TypeError(f"{key} {value!r} is not {names}")
-            if value.__class__ is str and not value.isascii():
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ValueError(f"{key} has no UTF-8 form: a lone surrogate "
-                                     f"at index {exc.start}") from None
-        elif required:
-            raise KeyError(key)
-    return cls(**kwargs)
+    keys, defaults = keys or {}, defaults or {}
+    # (name, key, accepted types, description, default, builder) per field;
+    # accepted types are None for an annotation that is not a `_KINDS` name.
+    table = tuple((f.name, keys.get(f.name, f.name), *_KINDS.get(f.type, (None, "")),
+                   defaults.get(f.name, f.default), build.get(f.name)) for f in fields(cls))
+    post_init = getattr(cls, "__post_init__", None)
+
+    def decode(obj: dict) -> T:
+        record = object.__new__(cls)
+        values = record.__dict__
+        for name, key, kinds, names, default, make in table:
+            if make is not None:
+                values[name] = make(obj)
+            elif key not in obj:
+                if default is MISSING:
+                    raise KeyError(key)
+                values[name] = default
+            else:
+                value = values[name] = obj[key]
+                # Parsed JSON holds exact classes: a bool is never an int here.
+                if kinds is not None and value.__class__ not in kinds:
+                    raise TypeError(f"{key} {value!r} is not {names}")
+                if value.__class__ is str and not value.isascii():
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise ValueError(f"{key} has no UTF-8 form: a lone surrogate "
+                                         f"at index {exc.start}") from None
+        if post_init is not None:
+            post_init(record)
+        return record
+
+    return decode
 
 
 def read_jsonl(path, build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
@@ -81,9 +84,10 @@ def read_jsonl(path, build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     from `build`; each message names the file and the line.
     """
     with open(path, "rb") as fh:
-        # Split as the text reader splits ("\n", "\r\n" or "\r"), but decode
-        # each line only when it is reached, so faults come in file order.
-        lines = (raw for chunk in fh for raw in chunk.splitlines())
+        # Split as the text reader splits ("\n", "\r\n" or "\r"; a chunk with no
+        # "\r" is one line), decoding each line when reached: faults in file order.
+        lines = (raw for chunk in fh
+                 for raw in (chunk.splitlines() if b"\r" in chunk else (chunk.rstrip(b"\n"),)))
         for lineno, raw in enumerate(lines, start=1):
             try:
                 line = raw.decode("utf-8")

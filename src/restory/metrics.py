@@ -214,14 +214,14 @@ class ScoreTriple:
     f1: float
 
     def __post_init__(self):
-        for name in ("precision", "recall", "f1"):
-            v = getattr(self, name)
+        p, r, f1 = self.precision, self.recall, self.f1
+        for name, v in (("precision", p), ("recall", r), ("f1", f1)):
             if not 0.0 <= v <= 1.0:
                 raise MetricInputError(f"{name} {v} outside [0, 1]")
-        expected = _f1(self.precision, self.recall)
-        if abs(self.f1 - expected) > 1e-9:
+        expected = _f1(p, r)
+        if abs(f1 - expected) > 1e-9:
             raise MetricInputError(
-                f"f1 {self.f1} inconsistent with precision/recall (expected {expected})"
+                f"f1 {f1} inconsistent with precision/recall (expected {expected})"
             )
 
     @classmethod

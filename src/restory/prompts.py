@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .corpus import CodeSnippet
 from .errors import DataError
-from .jsonl import decode, dumps, read_jsonl
+from .jsonl import decoder, dumps, read_jsonl
 
 # Each shot mode and the fewest and most exemplars it shows.
 SHOT_MODES = {"zero": (0, 0), "one": (1, 1), "few": (1, math.inf)}
@@ -77,12 +77,15 @@ class Exemplar:
             raise DataError("exemplar code and story must be non-empty")
 
 
+_decode_exemplar = decoder(Exemplar)
+
+
 def load_exemplars(path: str | Path | None = None) -> list[Exemplar]:
     """Exemplars from a JSON Lines file with `code` and `story` keys;
     defaults to the bundled fixtures."""
     if path is None:
         path = resources.files("restory") / "data" / "exemplars.jsonl"
-    return [ex for _, ex in read_jsonl(path, lambda obj: decode(Exemplar, obj))]
+    return [ex for _, ex in read_jsonl(path, _decode_exemplar)]
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,12 @@ from typing import TYPE_CHECKING, Sequence
 
 from .corpus import BANDS, GREEDY_METRIC, SCHEMES, DatasetRecord, stratum_for_nloc
 from .errors import BudgetExceededError, DataError, GatewayError
-from .jsonl import csv_text, decode, dumps, read_jsonl
+from .jsonl import csv_text, decoder, dumps, read_jsonl
 from .metrics import (
     FidelityBand,
     HashEmbedder,
     ScoreTriple,
+    _f1,
     bleu,
     classify_fidelity,
     greedy_embedding_score,
@@ -135,29 +136,6 @@ class GenerationRecord:
             "band": self.band.value,
         })
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GenerationRecord":
-        """The record a parsed `to_json` line describes; raises KeyError,
-        TypeError or ValueError for a line that describes none. A line
-        without `prompt_label` or `scot` reads as "" and false."""
-        return decode(
-            cls, {"prompt_label": "", "scot": False, **obj},
-            scores=lambda line: {
-                name: _score_triple(t) for name, t in line["scores"].items()
-            },
-            band=lambda line: FidelityBand(line["band"]),
-        )
-
-
-def _score_triple(obj: dict) -> ScoreTriple:
-    values = obj["precision"], obj["recall"], obj["f1"]
-    for value in values:
-        # Parsed JSON holds exact classes: a bool is never a number here.
-        if value.__class__ is not float and value.__class__ is not int:
-            raise TypeError(f"score {value!r} is not a number")
-    return ScoreTriple(*values)
-
-
 @dataclass(frozen=True)
 class FailureRecord:
     snippet_id: str
@@ -179,8 +157,40 @@ class RunResult:
     provider_calls: int
 
 
+def _scores(obj: dict) -> dict[str, ScoreTriple]:
+    scores = {}
+    for name, t in obj["scores"].items():
+        p, r, f1 = values = t["precision"], t["recall"], t["f1"]
+        for value in values:
+            # Parsed JSON holds exact classes: a bool is never a number here.
+            if value.__class__ is not float and value.__class__ is not int:
+                raise TypeError(f"score {value!r} is not a number")
+        # `ScoreTriple.__post_init__`'s tests, inline; its constructor raises the error.
+        if not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f1 <= 1.0
+                and abs(f1 - _f1(p, r)) <= 1e-9):
+            ScoreTriple(*values)
+        # Built as `jsonl.decoder` builds, without the frozen `__init__`.
+        scores[name] = triple = object.__new__(ScoreTriple)
+        fields = triple.__dict__
+        fields["precision"], fields["recall"], fields["f1"] = values
+    return scores
+
+
+def _band(obj: dict) -> FidelityBand:
+    try:
+        return _BANDS[obj["band"]]
+    except (KeyError, TypeError):  # the Enum raises its own error for this value
+        return FidelityBand(obj["band"])
+
+
+_BANDS = {band.value: band for band in FidelityBand}
+_decode_failure = decoder(FailureRecord)
+_decode_record = decoder(GenerationRecord, defaults={"prompt_label": "", "scot": False},
+                         scores=_scores, band=_band)
+
+
 def _result_from_dict(obj: dict) -> GenerationRecord | FailureRecord:
-    return decode(FailureRecord, obj) if "failure" in obj else GenerationRecord.from_dict(obj)
+    return _decode_failure(obj) if "failure" in obj else _decode_record(obj)
 
 
 def load_results(path: str | Path) -> tuple[list[GenerationRecord], list[FailureRecord]]:
@@ -423,12 +433,15 @@ class CalibrationPair:
             raise DataError(f"unknown calibration category {self.category!r}")
 
 
+_decode_pair = decoder(CalibrationPair)
+
+
 def load_calibration_pairs(path: str | Path | None = None) -> list[CalibrationPair]:
     """Pairs from a JSON Lines file with `candidate`, `reference` and
     `category` keys; defaults to the bundled fixture."""
     if path is None:
         path = resources.files("restory") / "data" / "calibration_pairs.jsonl"
-    return [pair for _, pair in read_jsonl(path, lambda obj: decode(CalibrationPair, obj))]
+    return [pair for _, pair in read_jsonl(path, _decode_pair)]
 
 
 def calibration_experiment(

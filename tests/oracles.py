@@ -10,8 +10,10 @@ The rest are earlier versions of rewritten hot functions, kept unchanged
 so that properties can pin the rewrites to their exact outputs: the
 per-character tokenize loop, the BLEU that clipped over every candidate
 n-gram, the greedy matching that went through `np.clip` and `np.mean`, the
-cache key that serialised its whole payload per call, and the snippet check
-that built every line list to count physical lines.
+cache key that serialised its whole payload per call, the snippet check
+that built every line list to count physical lines, and the generic JSON
+record decoder that walked a field table and called the constructor per
+record, with the results-line builders that used it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import json
 import math
 import string
 from collections import Counter
-from functools import lru_cache
+from dataclasses import MISSING, fields
+from functools import cache, lru_cache
 from typing import Sequence
 
 from restory.corpus import (
@@ -30,7 +33,8 @@ from restory.corpus import (
     UnsupportedLanguageError,
     UnterminatedCommentError,
 )
-from restory.metrics import MetricInputError, ScoreTriple
+from restory.metrics import FidelityBand, MetricInputError, ScoreTriple
+from restory.runner import FailureRecord, GenerationRecord
 
 
 def oracle_bleu(
@@ -279,3 +283,63 @@ def oracle_count_nloc(source: str, language_tag: str = "cpp") -> int:
     if count == 0:
         raise NoCodeError("no code lines")
     return count
+
+
+# Annotation name -> (accepted types, how an error names it). An int passes
+# for a float; a bool never passes for a number, and null never passes.
+_KINDS = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an int"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a bool"),
+}
+
+
+@cache
+def _schema(cls: type) -> tuple[tuple[str, tuple | None, str, bool], ...]:
+    table = []
+    for f in fields(cls):
+        kinds, names = _KINDS.get(f.type, (None, ""))
+        required = f.default is MISSING and f.default_factory is MISSING
+        table.append((f.name, kinds, names, required))
+    return tuple(table)
+
+
+def oracle_decode(cls, obj: dict, keys=None, **build):
+    kwargs = {}
+    for name, kinds, names, required in _schema(cls):
+        if name in build:
+            kwargs[name] = build[name](obj)
+        elif (key := keys.get(name, name) if keys else name) in obj:
+            value = kwargs[name] = obj[key]
+            if kinds is not None and value.__class__ not in kinds:
+                raise TypeError(f"{key} {value!r} is not {names}")
+            if value.__class__ is str and not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"{key} has no UTF-8 form: a lone surrogate "
+                                     f"at index {exc.start}") from None
+        elif required:
+            raise KeyError(key)
+    return cls(**kwargs)
+
+
+def oracle_score_triple(obj: dict) -> ScoreTriple:
+    values = obj["precision"], obj["recall"], obj["f1"]
+    for value in values:
+        if value.__class__ is not float and value.__class__ is not int:
+            raise TypeError(f"score {value!r} is not a number")
+    return ScoreTriple(*values)
+
+
+def oracle_result_from_dict(obj: dict):
+    """A results line's record, as `runner.load_results` built it with
+    `oracle_decode`."""
+    if "failure" in obj:
+        return oracle_decode(FailureRecord, obj)
+    return oracle_decode(
+        GenerationRecord, {"prompt_label": "", "scot": False, **obj},
+        scores=lambda line: {name: oracle_score_triple(t) for name, t in line["scores"].items()},
+        band=lambda line: FidelityBand(line["band"]),
+    )

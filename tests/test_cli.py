@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import re
 from pathlib import Path
 
@@ -70,6 +72,27 @@ def test_profile_skips_unlexable_files_with_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "broken.cpp" in captured.err
     assert "broken.cpp" not in captured.out
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_profile_skips_a_file_name_that_is_not_utf8(tmp_path, capsys, to_file):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "ok.cpp").write_text(make_cpp_source(2), encoding="utf-8")
+    try:
+        fd = os.open(os.path.join(os.fsencode(tree), b"\xffbad.cpp"), os.O_WRONLY | os.O_CREAT)
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(make_cpp_source(3))
+    out = tmp_path / "prof.csv"
+    argv = ["profile", str(tree), "--glob", "*.cpp"] + (["--out", str(out)] if to_file else [])
+    assert dispatch(argv) == 0
+    captured = capsys.readouterr()
+    bad = repr(str(tree / os.fsdecode(b"\xffbad.cpp")))
+    assert f"warning: {bad}: file name is not UTF-8" in captured.err
+    csv_text = out.read_text(encoding="utf-8") if to_file else captured.out
+    assert csv_text == f"path,nloc,stratum\n{tree / 'ok.cpp'},2,0\n"
 
 
 def test_profile_unsupported_language_exits_1(tmp_path, capsys):
@@ -384,6 +407,17 @@ def test_generate_http_without_endpoint_exits_1(dataset_35, tmp_path):
     assert dispatch(["generate", "--manifest", str(manifest)]) == 1
 
 
+def test_generate_endpoint_that_is_not_http_exits_1_writing_nothing(tmp_path, capsys):
+    dataset = tmp_path / "one.jsonl"
+    save_dataset(make_dataset([5]), dataset)
+    manifest = write_manifest(tmp_path, dataset, provider="http",
+                              endpoint="ftp://example.invalid/x")
+    assert dispatch(["generate", "--manifest", str(manifest)]) == 1
+    assert (f"{manifest}: bad manifest value: endpoint 'ftp://example.invalid/x' "
+            "is not an http(s) URL") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate / report
 
@@ -477,7 +511,33 @@ _BAD_RESULT_LINES = {
                         name: {"precision": True, "recall": True, "f1": True}
                         for name in rec["scores"]}},
                     "bad record on line 2: score True is not a number"),
+    "f1-above-one": (lambda rec: _with_triple(rec, "bleu", 1.0, 1.0, 1.5),
+                     "bad record on line 2: f1 1.5 outside [0, 1]"),
+    "nan-score": (lambda rec: _with_triple(rec, "rouge-l", math.nan, 1.0, 1.0),
+                  "bad record on line 2: precision nan outside [0, 1]"),
+    "inconsistent-f1": (lambda rec: _with_triple(rec, "bleu", 0.5, 0.5, 0.4),
+                        "bad record on line 2: f1 0.4 inconsistent with precision/recall "
+                        "(expected 0.5)"),
+    "band-disagrees-with-f1": (
+        lambda rec: {**_with_triple(rec, "greedy-embedding", 1.0, 1.0, 1.0),
+                     "snippet_id": "x", "band": "divergent"},
+        "bad record on line 2: record x: band divergent inconsistent with greedy-embedding f1"),
+    "triple-missing-precision": (
+        lambda rec: {**rec, "scores": {**rec["scores"], "bleu": {"recall": 1.0, "f1": 1.0}}},
+        "line 2 missing key 'precision'"),
+    "triple-is-a-number": (lambda rec: {**rec, "scores": {**rec["scores"], "bleu": 5}},
+                           "bad record on line 2: 'int' object is not subscriptable"),
+    "bool-cost": (lambda rec: {**rec, "cost_usd": True},
+                  "bad record on line 2: cost_usd True is not a number"),
+    "lone-surrogate-story": (lambda rec: {**rec, "candidate_story": "ab\ud800"},
+                             "bad record on line 2: candidate_story has no UTF-8 form: "
+                             "a lone surrogate at index 2"),
 }
+
+
+def _with_triple(rec: dict, metric: str, precision, recall, f1) -> dict:
+    triple = {"precision": precision, "recall": recall, "f1": f1}
+    return {**rec, "scores": {**rec["scores"], metric: triple}}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "report"])
@@ -494,6 +554,24 @@ def test_bad_results_line_exits_2_naming_path_and_line(results_file, tmp_path, c
     capsys.readouterr()
     assert dispatch(argv) == 2
     assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+def test_results_line_without_prompt_label_or_scot_reads_as_empty_and_false(
+        results_file, tmp_path):
+    lines = results_file.read_text(encoding="utf-8").splitlines()
+    old = []
+    for line in lines:
+        rec = json.loads(line)
+        del rec["prompt_label"], rec["scot"]
+        old.append(json.dumps(rec))
+    older = tmp_path / "older.jsonl"
+    older.write_text("\n".join(old) + "\n", encoding="utf-8")
+    out = tmp_path / "older.csv"
+    assert dispatch(["report", "--in", str(older), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(row["prompt"] == "" and row["scot"] == "false" for row in rows)
 
 
 # ---------------------------------------------------------------------------

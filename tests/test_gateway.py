@@ -616,8 +616,8 @@ def test_http_provider_connection_error_is_transient(no_proxy):
 
 @pytest.mark.parametrize("endpoint_url", ["file:///etc/hostname", "models.example/v1"])
 def test_http_provider_rejects_an_endpoint_that_is_not_http(endpoint_url):
-    with pytest.raises(ProviderRejectedError, match="not an http"):
-        HttpProvider(endpoint_url).generate("m", "p", GenerationConfig())
+    with pytest.raises(ValueError, match="not an http"):
+        HttpProvider(endpoint_url)
 
 
 def test_http_provider_rejects_a_key_that_cannot_be_a_header(endpoint, monkeypatch):
