@@ -24,7 +24,6 @@ from .metrics import (
     FidelityBand,
     HashEmbedder,
     ScoreTriple,
-    _f1,
     bleu,
     classify_fidelity,
     greedy_embedding_score,
@@ -160,19 +159,16 @@ class RunResult:
 def _scores(obj: dict) -> dict[str, ScoreTriple]:
     scores = {}
     for name, t in obj["scores"].items():
-        p, r, f1 = values = t["precision"], t["recall"], t["f1"]
+        values = t["precision"], t["recall"], t["f1"]
         for value in values:
             # Parsed JSON holds exact classes: a bool is never a number here.
             if value.__class__ is not float and value.__class__ is not int:
                 raise TypeError(f"score {value!r} is not a number")
-        # `ScoreTriple.__post_init__`'s tests, inline; its constructor raises the error.
-        if not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f1 <= 1.0
-                and abs(f1 - _f1(p, r)) <= 1e-9):
-            ScoreTriple(*values)
         # Built as `jsonl.decoder` builds, without the frozen `__init__`.
         scores[name] = triple = object.__new__(ScoreTriple)
         fields = triple.__dict__
         fields["precision"], fields["recall"], fields["f1"] = values
+        ScoreTriple.__post_init__(triple)
     return scores
 
 
