@@ -282,6 +282,7 @@ def _cmd_generate(args) -> int:
             cache_dir=cache_dir,
             retries=manifest.retries,
             budget_usd=manifest.budget_usd,
+            concurrency=manifest.concurrency,
         ) as gateway:
             result = runner.run_experiment(
                 dataset,
@@ -290,7 +291,6 @@ def _cmd_generate(args) -> int:
                 embedder=embedder,
                 results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
                 prompt_label=variant,
-                concurrency=manifest.concurrency,
             )
         print(
             f"{variant}: {len(result.records)} records, "

@@ -324,6 +324,11 @@ class Ledger:
 class Gateway:
     """One model + one provider + shared cache, retry policy, and budget.
 
+    At most `concurrency` provider calls are in flight at once: a call holds
+    a permit from its budget check through its last retry and the settling
+    of its cost, and the cache key, cache probe, cache write and ledger row
+    run outside it, while other calls wait on the provider.
+
     With a `cache_dir`, every completion, hit or miss, appends a row to the
     ledger `cache_dir / "ledger.csv"`; `close()`, or leaving a
     `with Gateway(...)` block, closes it.
@@ -337,9 +342,12 @@ class Gateway:
         cache_dir: str | Path | None = None,
         retries: int = 3,
         budget_usd: float | None = None,
+        concurrency: int = 1,
         sleep=time.sleep,
         rng: random.Random | None = None,
     ):
+        if concurrency < 1:  # no permit would ever be free
+            raise DataError(f"concurrency must be >= 1, got {concurrency}")
         self.provider = provider
         self.model = model
         self.config = config or GenerationConfig()
@@ -347,6 +355,8 @@ class Gateway:
         self.ledger = Ledger(self.cache_dir / "ledger.csv") if self.cache_dir else None
         self.retries = retries
         self.budget_usd = budget_usd
+        self.concurrency = concurrency
+        self._permits = threading.BoundedSemaphore(concurrency)
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._lock = threading.Lock()
@@ -438,47 +448,49 @@ class Gateway:
                                    hit.output_tokens, 0.0, cached=True)
             return hit
 
-        if self.budget_usd is not None and self.spent_usd >= self.budget_usd:
-            raise BudgetExceededError(
-                f"budget {self.budget_usd} USD already spent ({self.spent_usd:.6f})"
-            )
-
-        attempt = 0
-        start = time.monotonic()
-        while True:
+        # The budget check and the settled cost share the permit, so a call
+        # that waited for one sees the spend of every call before it.
+        with self._permits:
+            if self.budget_usd is not None and self.spent_usd >= self.budget_usd:
+                raise self.over_budget()
+            attempt = 0
+            start = time.monotonic()
+            while True:
+                try:
+                    with self._lock:
+                        self.provider_calls += 1
+                    response = self.provider.generate(self.model.model_id, prompt_text, self.config)
+                    break
+                except TransientProviderError as exc:
+                    if attempt >= self.retries:
+                        raise TransientExhaustedError(
+                            f"provider still failing after {self.retries} retries: {exc}"
+                        ) from exc
+                    delay = BACKOFF_BASE_S * (2 ** attempt) * (1 + 0.1 * self._rng.random())
+                    self._sleep(delay)
+                    attempt += 1
+            latency_ms = int((time.monotonic() - start) * 1000)
             try:
-                with self._lock:
-                    self.provider_calls += 1
-                response = self.provider.generate(self.model.model_id, prompt_text, self.config)
-                break
-            except TransientProviderError as exc:
-                if attempt >= self.retries:
-                    raise TransientExhaustedError(
-                        f"provider still failing after {self.retries} retries: {exc}"
-                    ) from exc
-                delay = BACKOFF_BASE_S * (2 ** attempt) * (1 + 0.1 * self._rng.random())
-                self._sleep(delay)
-                attempt += 1
-        latency_ms = int((time.monotonic() - start) * 1000)
-        try:
-            response.text.encode("utf-8")
-        except UnicodeEncodeError as exc:  # cache and results files are UTF-8
-            raise ProviderRejectedError(
-                f"provider reply has no UTF-8 form: a lone surrogate at index {exc.start}"
-            ) from None
+                response.text.encode("utf-8")
+            except UnicodeEncodeError as exc:  # cache and results files are UTF-8
+                raise ProviderRejectedError(
+                    f"provider reply has no UTF-8 form: a lone surrogate at index {exc.start}"
+                ) from None
 
-        estimated = response.input_tokens is None or response.output_tokens is None
-        input_tokens = (
-            response.input_tokens
-            if response.input_tokens is not None
-            else estimate_tokens(prompt_text)
-        )
-        output_tokens = (
-            response.output_tokens
-            if response.output_tokens is not None
-            else (estimate_tokens(response.text) if response.text else 0)
-        )
-        cost = estimate_cost(input_tokens, output_tokens, self.model)
+            estimated = response.input_tokens is None or response.output_tokens is None
+            input_tokens = (
+                response.input_tokens
+                if response.input_tokens is not None
+                else estimate_tokens(prompt_text)
+            )
+            output_tokens = (
+                response.output_tokens
+                if response.output_tokens is not None
+                else (estimate_tokens(response.text) if response.text else 0)
+            )
+            cost = estimate_cost(input_tokens, output_tokens, self.model)
+            with self._lock:
+                self.spent_usd += cost
         if output_tokens < self.config.min_output_tokens:
             logger.warning(
                 "completion shorter than minimum output length: %d < %d tokens",
@@ -498,10 +510,10 @@ class Gateway:
         self._cache_store(key, result)
         if self.ledger:
             self.ledger.append(self.model.model_id, input_tokens, output_tokens, cost, cached=False)
-        with self._lock:
-            self.spent_usd += cost
         if self.budget_usd is not None and self.spent_usd > self.budget_usd:
-            raise BudgetExceededError(
-                f"budget {self.budget_usd} USD exceeded: spent {self.spent_usd:.6f}"
-            )
+            raise self.over_budget()
         return result
+
+    def over_budget(self) -> BudgetExceededError:
+        """The budget refusal, stating the spend settled so far."""
+        return BudgetExceededError(f"budget {self.budget_usd} USD reached: spent {self.spent_usd:.6f}")

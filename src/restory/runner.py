@@ -209,14 +209,14 @@ def run_experiment(
     metric_names: Sequence[str] = DEFAULT_METRICS,
     results_path: str | Path | None = None,
     prompt_label: str = "",
-    concurrency: int = 1,
 ) -> RunResult:
     """Generate and score one candidate story per dataset entry.
 
     Provider failures after retries are recorded per entry and the run
-    continues; a budget overrun cancels the pending work and aborts after
+    continues; a budget overrun cancels the pending work and, once the
+    calls in flight have settled, aborts stating their spend, after
     flushing everything completed so far. Records are written (and
-    returned) in dataset order at any concurrency.
+    returned) in dataset order at any `gateway.concurrency`.
     """
     if not dataset:
         raise DataError("dataset is empty")
@@ -261,21 +261,24 @@ def run_experiment(
             multi_story=len(stories) > 1,
         )
 
-    out_fh = pool = None
+    out_fh = pool = refusal = None
     try:
         if results_path is not None:
             results_path = Path(results_path)
             results_path.parent.mkdir(parents=True, exist_ok=True)
             out_fh = open(results_path, "w", encoding="utf-8")
-        if concurrency > 1:
+        if gateway.concurrency > 1:
             from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(max_workers=concurrency)
+            # The gateway bounds the calls in flight; the one thread more
+            # renders and probes the next entry while they wait.
+            pool = ThreadPoolExecutor(max_workers=gateway.concurrency + 1)
         # Outcomes arrive in dataset order either way; the pool only runs
         # generation ahead of this loop.
         outcomes = pool.map(generate, dataset) if pool else map(generate, dataset)
         for entry, outcome in zip(dataset, outcomes):
             if isinstance(outcome, BudgetExceededError):
-                raise outcome
+                refusal = outcome
+                break
             if isinstance(outcome, GatewayError):
                 record = FailureRecord(entry.snippet.id, entry.snippet.nloc, str(outcome))
                 failures.append(record)
@@ -290,6 +293,8 @@ def run_experiment(
             pool.shutdown(cancel_futures=True)
         if out_fh:
             out_fh.close()
+    if refusal:
+        raise gateway.over_budget() from refusal
 
     return RunResult(
         records=records,

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import collections
 import csv
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,51 @@ class AlwaysFailingProvider:
         if self.transient:
             raise TransientProviderError("synthetic outage")
         raise ProviderRejectedError("synthetic rejection")
+
+
+class HeldProvider:
+    """Wraps a provider so that each call waits until its prompt is released,
+    holding calls in flight; counts calls, calls in flight and their peak,
+    and lists the calls' prompts in the order they arrived."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = self.in_flight = self.peak = 0
+        self.prompts = []
+        self._lock = threading.Lock()
+        self._gates = collections.defaultdict(threading.Event)
+        self._all = threading.Event()
+
+    def release(self, *prompts) -> None:
+        """Let the calls of `prompts` through; with none, every call, now and later."""
+        with self._lock:
+            for prompt in prompts or self._gates:
+                self._gates[prompt].set()
+            if not prompts:
+                self._all.set()
+
+    def generate(self, model_id: str, prompt_text: str, config: GenerationConfig):
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.prompts.append(prompt_text)
+            gate = self._all if self._all.is_set() else self._gates[prompt_text]
+        try:
+            if not gate.wait(timeout=10):
+                raise RuntimeError("a held provider call was never released")
+            return self.inner.generate(model_id, prompt_text, config)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    """Poll `predicate` until it holds; fail the test after `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting for a condition"
+        time.sleep(0.001)
 
 
 def ledger_cost(path: str | Path) -> float:

@@ -218,6 +218,11 @@ def test_snippet_invariants_enforced():
         )
 
 
+def test_snippet_id_must_be_non_empty():
+    with pytest.raises(DataError, match="snippet id must be non-empty"):
+        CodeSnippet(id="", source_text="int x;\n", language_tag="cpp", nloc=1, stratum_index=0)
+
+
 # Every line boundary `str.splitlines` knows, besides plain text.
 _line_text = st.lists(
     st.sampled_from(["x", "xxx", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",

@@ -38,9 +38,11 @@ from conftest import (
     AlwaysFailingProvider,
     CountingProvider,
     FlakyProvider,
+    HeldProvider,
     close_at_teardown,
     ledger_cost,
     make_snippet,
+    wait_until,
 )
 from oracles import oracle_cache_key
 
@@ -420,6 +422,67 @@ def test_budget_precheck_blocks_next_call(tmp_path):
     with pytest.raises(BudgetExceededError):
         gateway.complete("p2")
     assert provider.calls == 1  # second prompt never reached the provider
+
+
+class WatchedPermits(threading.BoundedSemaphore):
+    """A gateway's permits that set `blocked` when a call has to wait for one
+    and call `after_release` when a call gives its permit back."""
+
+    def __init__(self, value: int, after_release):
+        super().__init__(value)
+        self.blocked = threading.Event()
+        self.after_release = after_release
+
+    def __enter__(self):
+        if not self.acquire(blocking=False):
+            self.blocked.set()
+            self.acquire()
+        return True
+
+    def __exit__(self, *exc_info):
+        self.release()
+        self.after_release()
+
+
+def test_a_call_that_waited_for_the_permit_rechecks_the_budget(tmp_path):
+    provider = HeldProvider(CountingProvider("tok " * 4000))
+    gateway = _gateway(provider, tmp_path, budget_usd=1e-9, concurrency=1)
+    refused = {}
+
+    def first_call_pauses():
+        # until the waiting call is past its budget check, so that a cost
+        # settled only after the release would come too late for it
+        if threading.current_thread() is first:
+            wait_until(lambda: "p2" in refused or provider.calls == 2)
+
+    gateway._permits = WatchedPermits(1, first_call_pauses)
+
+    def call(prompt):
+        try:
+            gateway.complete(prompt)
+        except BudgetExceededError as exc:
+            refused[prompt] = exc
+
+    first = threading.Thread(target=call, args=("p1",))
+    second = threading.Thread(target=call, args=("p2",))
+    try:
+        first.start()
+        wait_until(lambda: provider.in_flight == 1)
+        second.start()
+        assert gateway._permits.blocked.wait(timeout=10)
+    finally:
+        provider.release()  # the first call crosses the budget
+    first.join(timeout=10)
+    second.join(timeout=10)
+    assert not first.is_alive() and not second.is_alive()
+    assert sorted(refused) == ["p1", "p2"]
+    assert provider.calls == 1  # the waiting call never reached the provider
+
+
+@pytest.mark.parametrize("concurrency", [0, -1])
+def test_concurrency_below_one_is_refused(concurrency):
+    with pytest.raises(DataError, match="concurrency must be >= 1"):
+        Gateway(CountingProvider(), MODEL, concurrency=concurrency)
 
 
 def test_short_output_warns(tmp_path, caplog):

@@ -219,6 +219,13 @@ def test_mistyped_exemplar_names_file_and_line(tmp_path):
     assert str(exc_info.value) == f"{path}: bad record on line 2: code 5 is not a string"
 
 
+@pytest.mark.parametrize("code, story", [("", "As a u, I want g."), ("int x;", "")],
+                         ids=["empty-code", "empty-story"])
+def test_exemplar_code_and_story_must_be_non_empty(code, story):
+    with pytest.raises(DataError, match="exemplar code and story must be non-empty"):
+        Exemplar(code, story)
+
+
 def test_undefined_variant_message_names_it():
     with pytest.raises(DataError, match="no-such-variant"):
         default_prompt_config("no-such-variant")

@@ -5,6 +5,8 @@ import io
 import json
 import random
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +16,10 @@ from restory.errors import DataError
 from restory.gateway import BudgetExceededError, Gateway, ModelSpec, ProviderRejectedError
 from restory.jsonl import csv_text
 from restory.metrics import FidelityBand, HashEmbedder, OneHotEmbedder, ScoreTriple, tokenize
-from restory.prompts import EmptySnippetError, default_prompt_config
+from restory.prompts import EmptySnippetError, default_prompt_config, render_prompt
 from restory.runner import (
     AnnotationSet,
+    BandAggregate,
     CalibrationPair,
     EmptyCategoryError,
     FailureRecord,
@@ -35,10 +38,12 @@ from restory.runner import (
 from conftest import (
     AlwaysFailingProvider,
     CountingProvider,
+    HeldProvider,
     close_at_teardown,
     ledger_cost,
     make_dataset,
     read_report,
+    wait_until,
 )
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
@@ -248,9 +253,8 @@ def test_concurrent_run_matches_serial(tmp_path):
     provider = EchoByPrompt(dataset)
     serial = run_experiment(dataset, _gateway(provider, tmp_path / "a"),
                             default_prompt_config("zero"), prompt_label="zero")
-    threaded = run_experiment(dataset, _gateway(provider, tmp_path / "b"),
-                              default_prompt_config("zero"), prompt_label="zero",
-                              concurrency=4)
+    threaded = run_experiment(dataset, _gateway(provider, tmp_path / "b", concurrency=4),
+                              default_prompt_config("zero"), prompt_label="zero")
     assert [r.snippet_id for r in threaded.records] == [r.snippet_id for r in serial.records]
     assert threaded.records == serial.records
 
@@ -280,11 +284,11 @@ def test_concurrent_budget_abort_leaves_a_prefix_of_the_serial_file(tmp_path):
     serial = _serial_bytes(dataset, EchoByPrompt(dataset), tmp_path)
     costs = [json.loads(line)["cost_usd"] for line in serial.splitlines()]
     # enough for the first completion, crossed by the second
-    gateway = _gateway(EchoByPrompt(dataset), tmp_path, budget_usd=costs[0] + costs[1] / 2)
+    gateway = _gateway(EchoByPrompt(dataset), tmp_path, budget_usd=costs[0] + costs[1] / 2,
+                       concurrency=2)
     with pytest.raises(BudgetExceededError):
         run_experiment(dataset, gateway, default_prompt_config("zero"),
-                       results_path=tmp_path / "partial.jsonl", prompt_label="zero",
-                       concurrency=2)
+                       results_path=tmp_path / "partial.jsonl", prompt_label="zero")
     partial = (tmp_path / "partial.jsonl").read_bytes()
     assert serial.startswith(partial)
     assert len(partial.splitlines()) < len(dataset)
@@ -295,12 +299,62 @@ def test_concurrent_failures_are_written_in_place_like_the_serial_run(tmp_path):
     rejected = dataset[1::3]
     serial = _serial_bytes(dataset, RejectingEchoByPrompt(dataset, rejected), tmp_path)
     result = run_experiment(dataset,
-                            _gateway(RejectingEchoByPrompt(dataset, rejected), tmp_path / "pool"),
+                            _gateway(RejectingEchoByPrompt(dataset, rejected), tmp_path / "pool",
+                                     concurrency=3),
                             default_prompt_config("zero"), results_path=tmp_path / "pool.jsonl",
-                            prompt_label="zero", concurrency=3)
+                            prompt_label="zero")
     assert (tmp_path / "pool.jsonl").read_bytes() == serial
     assert [f.snippet_id for f in result.failures] == [rec.snippet.id for rec in rejected]
     assert len(result.records) == len(dataset) - len(rejected)
+
+
+@pytest.mark.parametrize("concurrency", [2, 3])
+def test_concurrency_bounds_calls_in_flight_while_the_next_entry_waits_ready(tmp_path,
+                                                                              concurrency):
+    dataset = make_dataset([5, 15, 25, 35, 45, 55, 65, 75])
+    serial = _serial_bytes(dataset, EchoByPrompt(dataset), tmp_path)
+    provider = HeldProvider(EchoByPrompt(dataset))
+    gateway = _gateway(provider, tmp_path / "pool", concurrency=concurrency)
+    probed = []
+    load = gateway._cache_load
+    gateway._cache_load = lambda key: probed.append(key) or load(key)
+    config = default_prompt_config("zero")
+    ready = {gateway._cache_key(render_prompt(config, entry.snippet).text)
+             for entry in dataset[:concurrency + 1]}
+    with ThreadPoolExecutor(max_workers=1) as background:
+        try:
+            run = background.submit(run_experiment, dataset, gateway, config,
+                                    results_path=tmp_path / "pool.jsonl", prompt_label="zero")
+            wait_until(lambda: provider.in_flight == concurrency and len(probed) == len(ready))
+            time.sleep(0.05)  # room for a call beyond the limit to start, were it allowed
+            assert provider.in_flight == concurrency
+            assert set(probed) == ready  # the next entry is rendered and probed
+        finally:
+            provider.release()
+        run.result(timeout=10)
+    assert provider.peak == concurrency
+    assert (tmp_path / "pool.jsonl").read_bytes() == serial
+
+
+def test_budget_abort_states_the_settled_spend_of_the_calls_in_flight(tmp_path):
+    dataset = make_dataset([5, 15, 25, 35, 45, 55])
+    provider = HeldProvider(EchoByPrompt(dataset))
+    gateway = _gateway(provider, tmp_path, budget_usd=1e-12, concurrency=3)
+    with ThreadPoolExecutor(max_workers=1) as background:
+        try:
+            run = background.submit(run_experiment, dataset, gateway,
+                                    default_prompt_config("zero"),
+                                    results_path=tmp_path / "partial.jsonl")
+            wait_until(lambda: provider.in_flight == 3)
+            provider.release(provider.prompts[0])  # one call crosses the budget...
+            wait_until(lambda: gateway.spent_usd > 0)
+        finally:
+            provider.release()  # ...while two more are still in flight
+        with pytest.raises(BudgetExceededError) as raised:
+            run.result(timeout=10)
+    ledger = tmp_path / "cache" / "ledger.csv"
+    assert provider.calls == 3 and len(ledger.read_text().splitlines()) == 1 + 3
+    assert str(raised.value) == f"budget 1e-12 USD reached: spent {ledger_cost(ledger):.6f}"
 
 
 def test_concurrent_render_error_propagates_and_leaks_no_handle(tmp_path, monkeypatch):
@@ -318,9 +372,9 @@ def test_concurrent_render_error_propagates_and_leaks_no_handle(tmp_path, monkey
     blank = CodeSnippet("blank", " \n\t\n", "cpp", 1, 0)  # renders to EmptySnippetError
     dataset[0] = DatasetRecord(snippet=blank, reference_story=dataset[0].reference_story)
     with pytest.raises(EmptySnippetError):
-        run_experiment(dataset, _gateway(CountingProvider(), tmp_path),
+        run_experiment(dataset, _gateway(CountingProvider(), tmp_path, concurrency=2),
                        default_prompt_config("one"),
-                       results_path=tmp_path / "results.jsonl", concurrency=2)
+                       results_path=tmp_path / "results.jsonl")
     assert len(opened) == 1 and opened[0].closed
     assert (tmp_path / "results.jsonl").read_bytes() == b""
     assert set(threading.enumerate()) <= threads_before  # the pool's workers are joined
@@ -355,6 +409,11 @@ def test_records_reject_nloc_outside_the_design_range(nloc):
         _record("x", nloc, 0.5, 0.5)
     with pytest.raises(DataError, match=message):
         FailureRecord("x", nloc, "synthetic failure")
+
+
+def test_band_aggregate_n_must_be_positive():
+    with pytest.raises(DataError, match="aggregate n must be positive"):
+        BandAggregate("1-100", 1, 100, 0, 0.5, 0.5, 0.5)
 
 
 def test_constant_band_mean():
@@ -582,6 +641,11 @@ def test_kappa_length_mismatch_and_unknown_label():
         AnnotationSet((1, 2), (0, 1), (0,))
     with pytest.raises(DataError):
         AnnotationSet((1,), ("a",), ("b",), label_set=frozenset({"a"}))
+
+
+def test_kappa_needs_an_annotated_item():
+    with pytest.raises(DataError, match="need at least one annotated item"):
+        AnnotationSet((), (), ())
 
 
 @settings(max_examples=200)
