@@ -11,7 +11,7 @@ _EXPORTS = {
     "corpus": "CodeSnippet DatasetRecord Stratum count_nloc load_dataset sample_stratified"
               " save_dataset stratum_for_nloc",
     "gateway": "CompletionResult Gateway GenerationConfig ModelSpec estimate_cost model_spec",
-    "metrics": "EmbeddedText FidelityBand HashEmbedder OneHotEmbedder ScoreTriple bleu"
+    "metrics": "EmbeddedText FidelityBand HashEmbedder ScoreTriple bleu"
                " classify_fidelity greedy_embedding_score rouge_l tokenize",
     "prompts": "Exemplar PromptConfig RenderedPrompt default_prompt_config estimate_tokens"
                " load_exemplars render_prompt",

@@ -50,7 +50,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("profile", help="measure NLOC for source files and emit CSV")
     p.add_argument("directory")
     p.add_argument("--glob", default="**/*.cpp")
-    p.add_argument("--language", choices=corpus.SUPPORTED_LANGUAGES, default="cpp")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sample", help="stratified sampling of a dataset")
@@ -223,7 +222,7 @@ def _cmd_profile(args) -> int:
     paths = sorted(root.glob(args.glob))
     if not paths:
         raise DataError(f"no files match {args.glob!r} under {root}")
-    rows, warnings = corpus.profile_files(paths, args.language)
+    rows, warnings = corpus.profile_files(paths)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     _write_or_print(csv_text(("path", "nloc", "stratum"), rows), args.out)

@@ -80,7 +80,7 @@ def _blank_lexeme(match: re.Match) -> str:
     return "\n" * text.count("\n")
 
 
-def count_nloc(source: str, language_tag: str = "cpp") -> int:
+def count_nloc(source: str) -> int:
     """Count non-blank, non-comment lines in `source`.
 
     Lines are split on `\\n` only. A line counts when it holds a character
@@ -97,12 +97,9 @@ def count_nloc(source: str, language_tag: str = "cpp") -> int:
       other quote are inert inside a literal; a digit separator such as
       `1'000` opens a literal.
 
-    Raises NoCodeError when no line holds code, UnterminatedCommentError
-    (with the start line) for an unclosed block comment, and
-    UnsupportedLanguageError for languages without lexing rules.
+    Raises NoCodeError when no line holds code, and UnterminatedCommentError
+    (with the start line) for an unclosed block comment.
     """
-    if language_tag not in SUPPORTED_LANGUAGES:
-        raise UnsupportedLanguageError(f"unsupported language tag: {language_tag!r}")
     blanked = _LEXEME.sub(_blank_lexeme, source)
     count = sum(1 for line in blanked.split("\n") if line and not line.isspace())
     if count == 0:
@@ -161,8 +158,6 @@ class CodeSnippet:
             raise DataError("snippet id must be non-empty")
         if self.language_tag not in SUPPORTED_LANGUAGES:
             raise UnsupportedLanguageError(f"unsupported language tag: {self.language_tag!r}")
-        if self.nloc < 1:
-            raise DataError(f"snippet {self.id}: nloc must be >= 1, got {self.nloc}")
         # Each "\n" ends a splitlines() line, so only a count past them needs the list.
         if self.nloc > self.source_text.count("\n"):
             physical = len(self.source_text.splitlines())
@@ -176,17 +171,6 @@ class CodeSnippet:
                 f"snippet {self.id}: stratum_index {self.stratum_index} "
                 f"inconsistent with nloc {self.nloc} (expected {expected})"
             )
-
-    @classmethod
-    def from_source(cls, id: str, source_text: str, language_tag: str = "cpp") -> "CodeSnippet":
-        nloc = count_nloc(source_text, language_tag)
-        return cls(
-            id=id,
-            source_text=source_text,
-            language_tag=language_tag,
-            nloc=nloc,
-            stratum_index=stratum_for_nloc(nloc),
-        )
 
 
 @dataclass(frozen=True)
@@ -270,9 +254,7 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     return read_unique_jsonl(path, _record_from_json, lambda r: r.snippet.id, "record")
 
 
-def profile_files(
-    paths: Iterable[Path], language_tag: str = "cpp"
-) -> tuple[list[tuple[str, int, int | None]], list[str]]:
+def profile_files(paths: Iterable[Path]) -> tuple[list[tuple[str, int, int | None]], list[str]]:
     """Measure NLOC for each file; returns (rows, warnings).
 
     Each row is (path, nloc, stratum_index) with stratum None outside the
@@ -285,7 +267,7 @@ def profile_files(
         try:
             str(p).encode("utf-8")
             text = Path(p).read_text(encoding="utf-8")
-            nloc = count_nloc(text, language_tag)
+            nloc = count_nloc(text)
         except UnicodeEncodeError:
             warnings.append(f"{str(p)!r}: file name is not UTF-8")
             continue

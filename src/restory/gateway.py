@@ -329,9 +329,10 @@ class Gateway:
     of its cost, and the cache key, cache probe, cache write and ledger row
     run outside it, while other calls wait on the provider.
 
-    With a `cache_dir`, every completion, hit or miss, appends a row to the
-    ledger `cache_dir / "ledger.csv"`; `close()`, or leaving a
-    `with Gateway(...)` block, closes it.
+    Completions are cached under `cache_dir`, which is made at the first
+    one. Every completion, hit or miss, appends a row to the ledger
+    `cache_dir / "ledger.csv"`; `close()`, or leaving a `with Gateway(...)`
+    block, closes it.
     """
 
     def __init__(
@@ -339,7 +340,8 @@ class Gateway:
         provider,
         model: ModelSpec,
         config: GenerationConfig | None = None,
-        cache_dir: str | Path | None = None,
+        *,
+        cache_dir: str | Path,
         retries: int = 3,
         budget_usd: float | None = None,
         concurrency: int = 1,
@@ -351,8 +353,8 @@ class Gateway:
         self.provider = provider
         self.model = model
         self.config = config or GenerationConfig()
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.ledger = Ledger(self.cache_dir / "ledger.csv") if self.cache_dir else None
+        self.cache_dir = Path(cache_dir)
+        self.ledger = Ledger(self.cache_dir / "ledger.csv")
         self.retries = retries
         self.budget_usd = budget_usd
         self.concurrency = concurrency
@@ -377,8 +379,7 @@ class Gateway:
         self._key_suffix = tail.encode("utf-8")
 
     def close(self) -> None:
-        if self.ledger:
-            self.ledger.close()
+        self.ledger.close()
 
     def __enter__(self) -> "Gateway":
         return self
@@ -394,14 +395,12 @@ class Gateway:
         digest.update(self._key_suffix)
         return digest.hexdigest()
 
-    def _cache_path(self, key: str) -> str | None:
+    def _cache_path(self, key: str) -> str:
         # A string join: a `Path` per entry would parse its name and intern it.
-        return os.path.join(self.cache_dir, f"{key}.json") if self.cache_dir else None
+        return os.path.join(self.cache_dir, f"{key}.json")
 
     def _cache_load(self, key: str) -> CompletionResult | None:
         path = self._cache_path(key)
-        if path is None:
-            return None
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
@@ -416,8 +415,6 @@ class Gateway:
 
     def _cache_store(self, key: str, result: CompletionResult) -> None:
         path = self._cache_path(key)
-        if path is None:
-            return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         # A temporary file of its own per writer, so that writers of the same
         # key in a shared cache dir never write into each other's file.
@@ -443,9 +440,8 @@ class Gateway:
 
         hit = self._cache_load(key)
         if hit is not None:
-            if self.ledger:
-                self.ledger.append(self.model.model_id, hit.input_tokens,
-                                   hit.output_tokens, 0.0, cached=True)
+            self.ledger.append(self.model.model_id, hit.input_tokens,
+                               hit.output_tokens, 0.0, cached=True)
             return hit
 
         # The budget check and the settled cost share the permit, so a call
@@ -508,8 +504,7 @@ class Gateway:
             tokens_estimated=estimated,
         )
         self._cache_store(key, result)
-        if self.ledger:
-            self.ledger.append(self.model.model_id, input_tokens, output_tokens, cost, cached=False)
+        self.ledger.append(self.model.model_id, input_tokens, output_tokens, cost, cached=False)
         if self.budget_usd is not None and self.spent_usd > self.budget_usd:
             raise self.over_budget()
         return result

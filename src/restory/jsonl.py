@@ -29,23 +29,22 @@ _KINDS = {
 
 
 def decoder(cls: type[T], keys: Mapping[str, str] | None = None,
-            defaults: Mapping[str, object] | None = None,
             **build: Callable[[dict], object]) -> Callable[[dict], T]:
     """The function that builds a `cls` instance from one JSON object.
 
     Each field is read from the key of its name (or `keys[name]`) and must
-    have its annotated type; a missing key raises KeyError unless `defaults`
-    or the field's `default` gives a value, a wrong type raises TypeError,
-    and a string with no UTF-8 form (a lone surrogate, as a `\\ud800` escape
-    gives) raises ValueError. A field named in `build` is instead
-    `build[name](obj)`. Fields are taken in declaration order, so the first
-    bad one is reported. `cls.__post_init__` runs, but not the frozen `__init__`.
+    have its annotated type; a missing key raises KeyError unless the field
+    has a `default`, a wrong type raises TypeError, and a string with no
+    UTF-8 form (a lone surrogate, as a `\\ud800` escape gives) raises
+    ValueError. A field named in `build` is instead `build[name](obj)`.
+    Fields are taken in declaration order, so the first bad one is
+    reported. `cls.__post_init__` runs, but not the frozen `__init__`.
     """
-    keys, defaults = keys or {}, defaults or {}
+    keys = keys or {}
     # (name, key, accepted types, description, default, builder) per field;
     # accepted types are None for an annotation that is not a `_KINDS` name.
     table = tuple((f.name, keys.get(f.name, f.name), *_KINDS.get(f.type, (None, "")),
-                   defaults.get(f.name, f.default), build.get(f.name)) for f in fields(cls))
+                   f.default, build.get(f.name)) for f in fields(cls))
     post_init = getattr(cls, "__post_init__", None)
 
     def decode(obj: dict) -> T:

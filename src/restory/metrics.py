@@ -440,7 +440,7 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
 # Contract: `provider_id` string, `embed_tokens(tokens) -> EmbeddedText` and
 # `embed(text) -> EmbeddedText`, equal to `embed_tokens(tokenize(text))`,
 # both deterministic in their input. The hash-seeded provider gives hermetic,
-# repeatable vectors; the one-hot provider gives exactly-orthogonal ones.
+# repeatable vectors.
 
 
 class HashEmbedder:
@@ -510,30 +510,3 @@ class HashEmbedder:
         index = [rows[t] if t in rows else self._add(t) for t in tokens]
         return EmbeddedText._trusted(tokens, self._matrix.take(index, axis=0))
 
-
-class OneHotEmbedder:
-    """Basis-vector embeddings over a fixed vocabulary; distinct tokens are
-    exactly orthogonal. Tokens outside the vocabulary are an error."""
-
-    def __init__(self, vocabulary: Sequence[str]):
-        vocab = sorted(set(vocabulary))
-        if not vocab:
-            raise MetricInputError("vocabulary must be non-empty")
-        self._index = {tok: i for i, tok in enumerate(vocab)}
-        self.dim = len(vocab)
-        self.provider_id = f"one-hot-{self.dim}"
-
-    def embed(self, text: str) -> EmbeddedText:
-        return self.embed_tokens(tokenize(text))
-
-    def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
-        import numpy as np
-
-        tokens = tuple(tokens)
-        vectors = np.zeros((len(tokens), self.dim))
-        for row, tok in enumerate(tokens):
-            try:
-                vectors[row, self._index[tok]] = 1.0
-            except KeyError:
-                raise MetricInputError(f"token {tok!r} not in embedder vocabulary") from None
-        return EmbeddedText(tokens=tokens, vectors=vectors)

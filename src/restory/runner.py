@@ -109,14 +109,15 @@ class GenerationRecord:
     nloc: int
     model_id: str
     prompt_fingerprint: str
-    prompt_label: str
-    scot: bool
     candidate_story: str
     scores: dict[str, ScoreTriple]
     band: FidelityBand
     cost_usd: float
     parse_fallback: bool = False
     multi_story: bool = False
+    # A results line without these keys reads as "" and False.
+    prompt_label: str = ""
+    scot: bool = False
 
     def __post_init__(self):
         if GREEDY_METRIC in self.scores:
@@ -181,8 +182,7 @@ def _band(obj: dict) -> FidelityBand:
 
 _BANDS = {band.value: band for band in FidelityBand}
 _decode_failure = decoder(FailureRecord)
-_decode_record = decoder(GenerationRecord, defaults={"prompt_label": "", "scot": False},
-                         scores=_scores, band=_band)
+_decode_record = decoder(GenerationRecord, scores=_scores, band=_band)
 
 
 def _result_from_dict(obj: dict) -> GenerationRecord | FailureRecord:
@@ -489,7 +489,6 @@ class AnnotationSet:
     item_ids: tuple
     labels_a: tuple
     labels_b: tuple
-    label_set: frozenset | None = None
 
     def __post_init__(self):
         if not (len(self.item_ids) == len(self.labels_a) == len(self.labels_b)):
@@ -499,12 +498,6 @@ class AnnotationSet:
             )
         if len(self.item_ids) < 1:
             raise AnnotationError("need at least one annotated item")
-        if self.label_set is not None:
-            unknown = (set(self.labels_a) | set(self.labels_b)) - set(self.label_set)
-            if unknown:
-                raise AnnotationError(
-                    "labels outside declared set: " + ", ".join(map(repr, sorted(unknown, key=repr)))
-                )
 
 
 def cohen_kappa(annotations: AnnotationSet) -> float:

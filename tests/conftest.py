@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from restory.corpus import CodeSnippet, DatasetRecord, save_dataset
+from restory.corpus import (
+    CodeSnippet,
+    DatasetRecord,
+    count_nloc,
+    save_dataset,
+    stratum_for_nloc,
+)
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -51,8 +57,15 @@ def make_cpp_source(nloc: int, tag: str = "v") -> str:
     return "\n".join(f"int {tag}{i} = {i};" for i in range(nloc)) + "\n"
 
 
+def snippet_from_source(snippet_id: str, source_text: str) -> CodeSnippet:
+    """A C++ snippet of `source_text`, its NLOC and stratum measured."""
+    nloc = count_nloc(source_text)
+    return CodeSnippet(id=snippet_id, source_text=source_text, language_tag="cpp",
+                       nloc=nloc, stratum_index=stratum_for_nloc(nloc))
+
+
 def make_snippet(snippet_id: str, nloc: int) -> CodeSnippet:
-    return CodeSnippet.from_source(snippet_id, make_cpp_source(nloc, tag=f"x{nloc}_"))
+    return snippet_from_source(snippet_id, make_cpp_source(nloc, tag=f"x{nloc}_"))
 
 
 def make_dataset(nlocs: list[int]) -> list[DatasetRecord]:

@@ -14,6 +14,9 @@ cache key that serialised its whole payload per call, the snippet check
 that built every line list to count physical lines, and the generic JSON
 record decoder that walked a field table and called the constructor per
 record, with the results-line builders that used it.
+
+`OneHotEmbedder` is an embedding provider whose distinct tokens are exactly
+orthogonal, so greedy matching under it is the bag-of-words max match.
 """
 
 from __future__ import annotations
@@ -27,13 +30,8 @@ from dataclasses import MISSING, fields
 from functools import cache, lru_cache
 from typing import Sequence
 
-from restory.corpus import (
-    SUPPORTED_LANGUAGES,
-    NoCodeError,
-    UnsupportedLanguageError,
-    UnterminatedCommentError,
-)
-from restory.metrics import FidelityBand, MetricInputError, ScoreTriple
+from restory.corpus import NoCodeError, UnterminatedCommentError
+from restory.metrics import EmbeddedText, FidelityBand, MetricInputError, ScoreTriple, tokenize
 from restory.runner import FailureRecord, GenerationRecord
 
 
@@ -198,13 +196,37 @@ def oracle_bag_max_match(candidate_tokens, reference_tokens) -> tuple[float, flo
     return (p, r, f1)
 
 
-def oracle_count_nloc(source: str, language_tag: str = "cpp") -> int:
-    """The per-character state machine that `count_nloc` ran before its
-    regular-expression scanner, unchanged: the reference for its counts and
-    errors."""
-    if language_tag not in SUPPORTED_LANGUAGES:
-        raise UnsupportedLanguageError(f"unsupported language tag: {language_tag!r}")
+class OneHotEmbedder:
+    """Basis-vector embeddings over a fixed vocabulary; distinct tokens are
+    exactly orthogonal. Tokens outside the vocabulary are an error."""
 
+    def __init__(self, vocabulary: Sequence[str]):
+        vocab = sorted(set(vocabulary))
+        if not vocab:
+            raise MetricInputError("vocabulary must be non-empty")
+        self._index = {tok: i for i, tok in enumerate(vocab)}
+        self.dim = len(vocab)
+        self.provider_id = f"one-hot-{self.dim}"
+
+    def embed(self, text: str) -> EmbeddedText:
+        return self.embed_tokens(tokenize(text))
+
+    def embed_tokens(self, tokens: Sequence[str]) -> EmbeddedText:
+        import numpy as np
+
+        tokens = tuple(tokens)
+        vectors = np.zeros((len(tokens), self.dim))
+        for row, tok in enumerate(tokens):
+            try:
+                vectors[row, self._index[tok]] = 1.0
+            except KeyError:
+                raise MetricInputError(f"token {tok!r} not in embedder vocabulary") from None
+        return EmbeddedText(tokens=tokens, vectors=vectors)
+
+
+def oracle_count_nloc(source: str) -> int:
+    """The per-character state machine that `count_nloc` ran before its
+    regular-expression scanner: the reference for its counts and errors."""
     count = 0
     line = 1
     i = 0

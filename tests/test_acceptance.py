@@ -27,7 +27,6 @@ from restory.metrics import (
     EmbeddedText,
     FidelityBand,
     HashEmbedder,
-    OneHotEmbedder,
     bleu,
     classify_fidelity,
     greedy_embedding_score,
@@ -50,7 +49,7 @@ from restory.runner import (
 )
 
 from conftest import close_at_teardown, ledger_cost, make_dataset, make_snippet
-from oracles import oracle_bleu, oracle_rouge_l
+from oracles import OneHotEmbedder, oracle_bleu, oracle_rouge_l
 
 MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
 

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restory.cli import RunManifest, dispatch, parse_manifest
-from restory.corpus import CodeSnippet, DatasetRecord, save_dataset
+from restory.corpus import DatasetRecord, save_dataset
 
-from conftest import make_cpp_source, make_dataset, write_manifest
+from conftest import make_cpp_source, make_dataset, snippet_from_source, write_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +93,6 @@ def test_profile_skips_a_file_name_that_is_not_utf8(tmp_path, capsys, to_file):
     assert f"warning: {bad}: file name is not UTF-8" in captured.err
     csv_text = out.read_text(encoding="utf-8") if to_file else captured.out
     assert csv_text == f"path,nloc,stratum\n{tree / 'ok.cpp'},2,0\n"
-
-
-def test_profile_unsupported_language_exits_1(tmp_path, capsys):
-    (tmp_path / "a.cpp").write_text(make_cpp_source(2), encoding="utf-8")
-    assert dispatch(["profile", str(tmp_path), "--language", "rust"]) == 1
-    captured = capsys.readouterr()
-    assert "'rust'" in captured.err and not captured.out
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +198,7 @@ def test_generate_rerun_is_byte_identical_with_zero_calls(dataset_35, tmp_path, 
 )
 def test_generate_echo_finds_code_as_the_prompt_shows_it(tmp_path, capsys, code):
     dataset = tmp_path / "dataset.jsonl"
-    save_dataset([DatasetRecord(CodeSnippet.from_source("s", code), "As a u, I want x.")],
+    save_dataset([DatasetRecord(snippet_from_source("s", code), "As a u, I want x.")],
                  dataset)
     assert dispatch(["generate", "--manifest", str(write_manifest(tmp_path, dataset))]) == 0
     assert "1 records, 0 failures" in capsys.readouterr().err

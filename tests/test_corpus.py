@@ -10,7 +10,6 @@ from restory.corpus import (
     DatasetRecord,
     DeficientStrataError,
     NoCodeError,
-    UnsupportedLanguageError,
     UnterminatedCommentError,
     count_nloc,
     load_dataset,
@@ -20,7 +19,7 @@ from restory.corpus import (
 )
 from restory.errors import DataError
 
-from conftest import make_cpp_source, make_dataset, make_snippet
+from conftest import make_cpp_source, make_dataset, make_snippet, snippet_from_source
 from oracles import oracle_count_nloc, oracle_exceeds_physical_lines
 
 
@@ -76,11 +75,6 @@ def test_unterminated_block_comment_reports_start_line():
     with pytest.raises(UnterminatedCommentError, match="line 2") as exc_info:
         count_nloc("int x;\n/* never closed\nint y;\n")
     assert exc_info.value.line == 2
-
-
-def test_unsupported_language_tag():
-    with pytest.raises(UnsupportedLanguageError):
-        count_nloc("print('hi')\n", language_tag="python")
 
 
 def test_generated_source_has_requested_nloc():
@@ -208,7 +202,7 @@ def test_stratum_rejects_out_of_range():
 
 
 def test_snippet_invariants_enforced():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^nloc 0 outside \[1, 350\]$"):
         CodeSnippet(id="a", source_text="int x;\n", language_tag="cpp", nloc=0, stratum_index=0)
     with pytest.raises(DataError):  # nloc exceeds physical lines
         CodeSnippet(id="a", source_text="int x;\n", language_tag="cpp", nloc=5, stratum_index=0)
@@ -251,7 +245,7 @@ def test_physical_line_check_equals_the_line_list_check(text, past):
 
 def test_from_source_rejects_beyond_design_range():
     with pytest.raises(DataError):
-        CodeSnippet.from_source("big", make_cpp_source(351))
+        snippet_from_source("big", make_cpp_source(351))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +294,11 @@ def test_sampling_reports_deficient_strata():
     with pytest.raises(DeficientStrataError) as exc_info:
         sample_stratified(corpus, per_stratum=2, seed=0)
     assert exc_info.value.labels == ("11-20",)
+
+
+def test_sampling_needs_at_least_one_per_stratum():
+    with pytest.raises(DataError, match=r"^per_stratum must be >= 1$"):
+        sample_stratified([make_snippet("a", 5)], 0, 1)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers())

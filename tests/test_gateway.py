@@ -50,10 +50,10 @@ MODEL = ModelSpec("llama-3.1-8b", 0.05, 0.25)
 NOSLEEP = lambda s: None
 
 
-def _gateway(provider, tmp_path=None, **kwargs):
+def _gateway(provider, tmp_path, **kwargs):
     """A gateway caching under `tmp_path / "cache"`, its ledger `ledger.csv` there."""
-    cache = tmp_path / "cache" if tmp_path else None
-    return close_at_teardown(Gateway(provider, MODEL, cache_dir=cache, sleep=NOSLEEP, **kwargs))
+    return close_at_teardown(Gateway(provider, MODEL, cache_dir=tmp_path / "cache",
+                                     sleep=NOSLEEP, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,12 @@ _KEY_TEXT = st.text(alphabet=st.one_of(
 
 @settings(max_examples=200)
 @given(st.sampled_from(_KEY_CONFIGS), _KEY_TEXT)
-def test_cache_key_equals_the_whole_payload_derivation(model_and_config, prompt):
+def test_cache_key_equals_the_whole_payload_derivation(tmp_path_factory, model_and_config,
+                                                      prompt):
     model, config = model_and_config
-    gateway = Gateway(CountingProvider(), model, config)
+    # Never written: no completion is made.
+    gateway = Gateway(CountingProvider(), model, config,
+                      cache_dir=tmp_path_factory.getbasetemp() / "unused-cache")
     try:
         want = oracle_cache_key(model.model_id, config, prompt)
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
@@ -480,9 +483,15 @@ def test_a_call_that_waited_for_the_permit_rechecks_the_budget(tmp_path):
 
 
 @pytest.mark.parametrize("concurrency", [0, -1])
-def test_concurrency_below_one_is_refused(concurrency):
+def test_concurrency_below_one_is_refused(tmp_path, concurrency):
     with pytest.raises(DataError, match="concurrency must be >= 1"):
-        Gateway(CountingProvider(), MODEL, concurrency=concurrency)
+        Gateway(CountingProvider(), MODEL, cache_dir=tmp_path / "cache", concurrency=concurrency)
+
+
+def test_a_gateway_writes_nothing_before_its_first_completion(tmp_path):
+    cache = tmp_path / "cache"
+    Gateway(CountingProvider(), MODEL, cache_dir=cache).close()
+    assert not cache.exists()
 
 
 def test_short_output_warns(tmp_path, caplog):

@@ -18,14 +18,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
-from restory.corpus import CodeSnippet, DatasetRecord
+from restory.corpus import DatasetRecord
 from restory.gateway import Gateway, GenerationConfig, ProviderResponse, model_spec
-from restory.metrics import OneHotEmbedder, tokenize
+from restory.metrics import tokenize
 from restory.prompts import PROMPT_VARIANTS, default_prompt_config
 from restory.runner import collect_report_rows, load_results, run_experiment, write_report_rows
 from restory.story import canonical_text, parse_stories
 
-from conftest import make_dataset
+from conftest import make_dataset, snippet_from_source
+from oracles import OneHotEmbedder
 
 METRICS = ("greedy-embedding", "bleu", "bleu-smoothed", "rouge-l", "rouge-l-nostem")
 
@@ -60,7 +61,7 @@ def golden_dataset() -> list[DatasetRecord]:
     # A snippet whose code holds runs of 3, 4 and 7 newlines.
     source = "int a = 1;\n\n\nint b = 2;\n\n\n\nint c = 3;\n\n\n\n\n\n\nint d = 4;\n"
     records.append(DatasetRecord(
-        snippet=CodeSnippet.from_source("snip-blank", source),
+        snippet=snippet_from_source("snip-blank", source),
         reference_story="As a reader, I want four values assigned so that blank lines never matter.",
     ))
     return records

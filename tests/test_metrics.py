@@ -12,7 +12,6 @@ from restory.metrics import (
     FidelityBand,
     HashEmbedder,
     MetricInputError,
-    OneHotEmbedder,
     ScoreTriple,
     bleu,
     classify_fidelity,
@@ -23,6 +22,7 @@ from restory.metrics import (
 )
 
 from oracles import (
+    OneHotEmbedder,
     oracle_bag_max_match,
     oracle_bleu,
     oracle_bleu_counted,

@@ -23,7 +23,7 @@ from restory.prompts import (
     shown_code,
 )
 
-from conftest import make_snippet
+from conftest import make_snippet, snippet_from_source
 
 
 def _config(variant: str, few_k: int = 3) -> PromptConfig:
@@ -59,6 +59,13 @@ def test_directive_is_prefix_for_all_variants():
         config = _config(name)
         rendered = render_prompt(config, snippet)
         assert rendered.text.startswith(config.directive)
+
+
+def test_directive_with_leading_spaces_does_not_lead_the_prompt():
+    # The rendered text is stripped, so it loses the directive's leading spaces.
+    config = PromptConfig("zero", False, "  Write one story.")
+    with pytest.raises(TemplateError, match="^rendered prompt does not begin with the directive$"):
+        render_prompt(config, make_snippet("s", 3))
 
 
 def test_exemplar_count_mismatch():
@@ -113,7 +120,7 @@ def test_rendering_is_deterministic():
 def test_blank_line_runs_in_code_collapse_to_one_blank_line(variant):
     source = "int a = 1;\n\n\nint b = 2;\n\n\n\nint c = 3;\n\n\n\n\n\n\nint d = 4;\n"
     config = _config(variant)
-    rendered = render_prompt(config, CodeSnippet.from_source("blank-runs", source))
+    rendered = render_prompt(config, snippet_from_source("blank-runs", source))
     assert "int a = 1;\n\nint b = 2;\n\nint c = 3;\n\nint d = 4;\n```" in rendered.text
     assert "\n\n\n" not in rendered.text
 
