@@ -266,23 +266,21 @@ def _cmd_generate(args) -> int:
         configs = [default_prompt_config(v, few_k=manifest.few_shot_k) for v in variants]
     except DataError as exc:
         raise UsageError(f"{args.manifest}: bad manifest value: {exc}") from exc
-    # Loaded and resolved once for every variant of a grid; each variant
-    # keeps its own Gateway, so a budget still applies per variant.
     dataset = corpus.load_dataset(manifest.dataset)
     provider = _resolve_provider(args.manifest, manifest, dataset)
     base_dir = Path(manifest.output_dir)
     cache_dir = Path(manifest.cache_dir) if manifest.cache_dir else base_dir / "cache"
     worst = EXIT_OK
-    for variant, config in zip(variants, configs):
-        with Gateway(
-            provider,
-            model,
-            generation,
-            cache_dir=cache_dir,
-            retries=manifest.retries,
-            budget_usd=manifest.budget_usd,
-            concurrency=manifest.concurrency,
-        ) as gateway:
+    with Gateway(
+        provider,
+        model,
+        generation,
+        cache_dir=cache_dir,
+        retries=manifest.retries,
+        budget_usd=manifest.budget_usd,
+        concurrency=manifest.concurrency,
+    ) as gateway:
+        for variant, config in zip(variants, configs):
             result = runner.run_experiment(
                 dataset,
                 gateway,
@@ -291,14 +289,14 @@ def _cmd_generate(args) -> int:
                 results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
                 prompt_label=variant,
             )
-        print(
-            f"{variant}: {len(result.records)} records, "
-            f"{len(result.failures)} failures, {result.provider_calls} provider calls, "
-            f"{result.total_cost_usd:.6f} USD",
-            file=sys.stderr,
-        )
-        if not result.records:
-            worst = EXIT_PROVIDER  # every entry failed
+            print(
+                f"{variant}: {len(result.records)} records, "
+                f"{len(result.failures)} failures, {result.provider_calls} provider calls, "
+                f"{result.total_cost_usd:.6f} USD",
+                file=sys.stderr,
+            )
+            if not result.records:
+                worst = EXIT_PROVIDER  # every entry failed
     return worst
 
 

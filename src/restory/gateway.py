@@ -3,7 +3,7 @@
 Wraps any provider behind one `complete()` call with deterministic
 response caching (key = digest of model + decoding config + prompt text),
 bounded retries with exponential backoff on transient failures, an
-append-only cost ledger, and an optional per-run budget ceiling.
+append-only cost ledger, and an optional per-invocation budget ceiling.
 
 A provider is any object with
     generate(model_id: str, prompt_text: str, config: GenerationConfig)
@@ -324,13 +324,16 @@ class Ledger:
 class Gateway:
     """One model + one provider + shared cache, retry policy, and budget.
 
+    `restory generate` makes one per invocation, so a `--grid`'s variants
+    share its budget, ledger handle, permits and cache-key prefix.
+
     At most `concurrency` provider calls are in flight at once: a call holds
     a permit from its budget check through its last retry and the settling
-    of its cost, and the cache key, cache probe, cache write and ledger row
+    of its cost, and the cache key, cache probe, ledger row and cache write
     run outside it, while other calls wait on the provider.
 
-    Completions are cached under `cache_dir`, which is made at the first
-    one. Every completion, hit or miss, appends a row to the ledger
+    Completions are cached under `cache_dir`, which the first ledger row
+    makes. Every completion, hit or miss, appends a row to the ledger
     `cache_dir / "ledger.csv"`; `close()`, or leaving a `with Gateway(...)`
     block, closes it.
     """
@@ -414,8 +417,8 @@ class Gateway:
             return None
 
     def _cache_store(self, key: str, result: CompletionResult) -> None:
+        # `cache_dir` exists: the ledger row before this made it.
         path = self._cache_path(key)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
         # A temporary file of its own per writer, so that writers of the same
         # key in a shared cache dir never write into each other's file.
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=f"{key}.", suffix=".tmp")
@@ -433,8 +436,9 @@ class Gateway:
         """Resolve a prompt's text to a completion, via cache when possible.
 
         Cache hits add nothing to the ledger total or the budget; misses
-        call the provider with up to `retries` retries on transient errors
-        and persist the result atomically before accounting runs.
+        call the provider with up to `retries` retries on transient errors,
+        then write the ledger row before storing the result atomically, so
+        a paid call keeps its row even if the store fails.
         """
         key = self._cache_key(prompt_text)
 
@@ -503,8 +507,8 @@ class Gateway:
             retries=attempt,
             tokens_estimated=estimated,
         )
-        self._cache_store(key, result)
         self.ledger.append(self.model.model_id, input_tokens, output_tokens, cost, cached=False)
+        self._cache_store(key, result)
         if self.budget_usd is not None and self.spent_usd > self.budget_usd:
             raise self.over_budget()
         return result

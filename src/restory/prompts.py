@@ -7,10 +7,11 @@ snippet follow, each inside a code fence longer than any backtick run in
 it. A `PromptConfig` carries its exemplars, and `prompted_code` reads the
 target snippet's code back from a rendered prompt.
 
-Wording lives in editable template files, not in code. The layout file
-uses `{{directive}}`, `{{story_format_hint}}`, `{{scot_block}}`,
-`{{exemplars}}` and `{{code}}` placeholders; the reasoning block must
-mention all three control-flow primitives (sequence, branch, loop).
+Wording lives in the bundled template files, not in code. The one layout
+file serves all six variants, so it holds all five placeholders,
+`{{directive}}`, `{{story_format_hint}}`, `{{scot_block}}`, `{{exemplars}}`
+and `{{code}}`; the reasoning block must mention all three control-flow
+primitives (sequence, branch, loop).
 """
 
 from __future__ import annotations
@@ -163,20 +164,16 @@ def shown_code(source_text: str) -> str:
     return _BLANK_RUN_RE.sub("\n\n", "\n" + source_text.rstrip())[1:]
 
 
-def load_layout(path: str | Path | None, config: PromptConfig) -> str:
-    """Read a layout template and reject it if a placeholder the chosen
-    config needs is missing (or an unknown one is present)."""
-    text = _data_text("layout.txt") if path is None else Path(path).read_text(encoding="utf-8")
+@cache  # the bundled files never change, so each check runs once per process
+def load_layout() -> str:
+    """The bundled layout template, rejected if a placeholder is missing or
+    unknown: the one layout serves every variant, so it holds all five."""
+    text = _data_text("layout.txt")
     found = set(_PLACEHOLDER_RE.findall(text))
     unknown = found - _KNOWN_PLACEHOLDERS
     if unknown:
         raise TemplateError("unknown placeholders: " + ", ".join(sorted(unknown)))
-    required = {"directive", "code"}
-    if config.scot:
-        required.add("scot_block")
-    if config.exemplars:
-        required.add("exemplars")
-    missing = required - found
+    missing = _KNOWN_PLACEHOLDERS - found
     if missing:
         raise TemplateError("template missing placeholders: " + ", ".join(sorted(missing)))
     if not text.startswith("{{directive}}"):
@@ -186,24 +183,15 @@ def load_layout(path: str | Path | None, config: PromptConfig) -> str:
     return text
 
 
-def load_scot_block(path: str | Path | None = None) -> str:
-    text = _data_text("scot_block.txt") if path is None else Path(path).read_text(encoding="utf-8")
+@cache
+def load_scot_block() -> str:
+    """The bundled reasoning block, which must name every SCOT primitive."""
+    text = _data_text("scot_block.txt")
     lowered = text.lower()
     missing = [p for p in SCOT_PRIMITIVES if p not in lowered]
     if missing:
         raise TemplateError("reasoning block missing primitives: " + ", ".join(missing))
     return text.strip()
-
-
-# The bundled files never change, so each check runs once per config.
-@cache
-def _bundled_layout(config: PromptConfig) -> str:
-    return load_layout(None, config)
-
-
-@cache
-def _bundled_scot_block() -> str:
-    return load_scot_block(None)
 
 
 def _fenced(code: str, language_tag: str) -> str:
@@ -243,11 +231,11 @@ def render_prompt(config: PromptConfig, snippet: CodeSnippet,
     substitutions = {
         "directive": config.directive,
         "story_format_hint": config.story_format_hint,
-        "scot_block": _bundled_scot_block() if config.scot else "",
+        "scot_block": load_scot_block() if config.scot else "",
         "exemplars": _exemplar_block(config.exemplars, snippet.language_tag),
         "code": _fenced(shown_code(snippet.source_text), snippet.language_tag),
     }
-    text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], _bundled_layout(config))
+    text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], load_layout())
     text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
     if not text.startswith(config.directive):
         raise TemplateError("rendered prompt does not begin with the directive")

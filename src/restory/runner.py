@@ -214,9 +214,10 @@ def run_experiment(
 
     Provider failures after retries are recorded per entry and the run
     continues; a budget overrun cancels the pending work and, once the
-    calls in flight have settled, aborts stating their spend, after
+    calls in flight have settled, aborts stating the gateway's spend, after
     flushing everything completed so far. Records are written (and
-    returned) in dataset order at any `gateway.concurrency`.
+    returned) in dataset order at any `gateway.concurrency`. The result's
+    cost and provider calls are this run's own, on a gateway a grid shares.
     """
     if not dataset:
         raise DataError("dataset is empty")

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from restory.cli import RunManifest, dispatch, parse_manifest
 from restory.corpus import DatasetRecord, save_dataset
 
-from conftest import make_cpp_source, make_dataset, snippet_from_source, write_manifest
+from conftest import (
+    ledger_cost, make_cpp_source, make_dataset, snippet_from_source, write_manifest,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +300,68 @@ def test_generate_grid_variant_equals_its_own_run(tmp_path):
         assert dispatch(["generate", "--manifest", str(single)]) == 0
         assert ((tmp_path / variant / "results.jsonl").read_bytes()
                 == (tmp_path / "grid" / variant / "results.jsonl").read_bytes())
+
+
+_SUMMARY_RE = re.compile(
+    r"^(\S+): \d+ records, \d+ failures, (\d+) provider calls, ([0-9.]+) USD$", re.MULTILINE)
+
+
+def _summaries(stderr: str) -> dict[str, tuple[int, float]]:
+    """Each summary line `generate` printed: variant -> (provider calls, USD)."""
+    return {m[1]: (int(m[2]), float(m[3])) for m in _SUMMARY_RE.finditer(stderr)}
+
+
+def _results_cost(path: Path) -> float:
+    return sum(json.loads(line)["cost_usd"] for line in path.read_text().splitlines())
+
+
+def test_generate_grid_budget_covers_the_whole_invocation(tmp_path, capsys):
+    dataset = tmp_path / "small.jsonl"
+    save_dataset(make_dataset([5, 105, 205, 349]), dataset)
+    full = write_manifest(tmp_path, dataset, out_name="full", model="o1")
+    assert dispatch(["generate", "--manifest", str(full), "--grid"]) == 0
+    capsys.readouterr()
+    costs = [_results_cost(tmp_path / "full" / v / "results.jsonl") for v in GRID_DIGESTS]
+    budget = 1.5 * max(costs)  # above every variant's cost, below their sum
+    assert budget < sum(costs)
+
+    capped = write_manifest(tmp_path, dataset, out_name="capped", model="o1",
+                            budget_usd=repr(budget))
+    assert dispatch(["generate", "--manifest", str(capped), "--grid"]) == 3
+    err = capsys.readouterr().err
+    spent = re.search(r"budget \S+ USD reached: spent ([0-9.]+)$", err, re.MULTILINE)
+    assert spent and float(spent[1]) > budget
+    assert spent[1] == f"{ledger_cost(tmp_path / 'capped' / 'cache' / 'ledger.csv'):.6f}"
+    variants = sorted(GRID_DIGESTS)
+    finished = list(_summaries(err))
+    assert finished == variants[:len(finished)]
+    aborted, *later = variants[len(finished):]
+    for variant in finished:
+        assert ((tmp_path / "capped" / variant / "results.jsonl").read_bytes()
+                == (tmp_path / "full" / variant / "results.jsonl").read_bytes())
+    prefix = (tmp_path / "capped" / aborted / "results.jsonl").read_bytes()
+    whole = (tmp_path / "full" / aborted / "results.jsonl").read_bytes()
+    assert len(prefix) < len(whole) and whole.startswith(prefix)
+    assert prefix == b"" or prefix.endswith(b"\n")
+    for variant in later:
+        assert not (tmp_path / "capped" / variant).exists()
+
+
+def test_generate_grid_summaries_state_each_variants_own_spend(tmp_path, capsys):
+    dataset = tmp_path / "small.jsonl"
+    save_dataset(make_dataset([5, 105, 205, 349]), dataset)
+    manifest = write_manifest(tmp_path, dataset, out_name="grid", model="o1")
+    assert dispatch(["generate", "--manifest", str(manifest), "--grid"]) == 0
+    summaries = _summaries(capsys.readouterr().err)
+    assert sorted(summaries) == sorted(GRID_DIGESTS)
+    for variant, (calls, usd) in summaries.items():
+        assert calls == 4  # a cold cache: one call per entry, none from another variant
+        cost = _results_cost(tmp_path / "grid" / variant / "results.jsonl")
+        assert usd == pytest.approx(cost, abs=5e-7)
+    # Each line rounds its USD to six decimals, so six of them add up to
+    # the ledger's sum within six half-units of the sixth decimal.
+    total = ledger_cost(tmp_path / "grid" / "cache" / "ledger.csv")
+    assert sum(usd for _, usd in summaries.values()) == pytest.approx(total, abs=6 * 5e-7)
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,21 @@ def test_ledger_rows_and_total(tmp_path):
     assert first.cost_usd > 0
 
 
+def test_a_paid_call_keeps_its_ledger_row_when_the_cache_write_fails(tmp_path):
+    gateway = _gateway(CountingProvider("words " * 100), tmp_path)
+
+    def full_disk(key, result):
+        raise OSError(28, "No space left on device")
+
+    gateway._cache_store = full_disk
+    with pytest.raises(OSError, match="No space left"):
+        gateway.complete("p1")
+    assert gateway.provider_calls == 1 and gateway.spent_usd > 0
+    ledger = tmp_path / "cache" / "ledger.csv"
+    assert len(_ledger_lines(ledger)) == 2  # the header and the paid call's row
+    assert ledger_cost(ledger) == pytest.approx(gateway.spent_usd, abs=1e-15)
+
+
 def _ledger_lines(path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from restory import prompts
 from restory.corpus import CodeSnippet
 from restory.errors import DataError
 from restory.prompts import (
@@ -163,44 +164,42 @@ def test_estimate_tokens_monotone_in_prefix(prefix, suffix):
     assert estimate_tokens(prefix) <= estimate_tokens(prefix + suffix)
 
 
-def test_layout_loader_rejects_missing_placeholder(tmp_path):
-    path = tmp_path / "layout.txt"
-    path.write_text("{{directive}}\n{{code}}\n", encoding="utf-8")
-    load_layout(path, _config("zero"))  # fine: zero-shot non-scot needs only these
-    with pytest.raises(TemplateError, match="scot_block"):
-        load_layout(path, _config("zero-scot"))
-    with pytest.raises(TemplateError, match="exemplars"):
-        load_layout(path, _config("one"))
+LAYOUT = "{{directive}}\n{{story_format_hint}}\n{{scot_block}}\n{{exemplars}}\n{{code}}\n"
 
 
-def test_layout_loader_rejects_unknown_placeholder(tmp_path):
-    path = tmp_path / "layout.txt"
-    path.write_text("{{directive}}\n{{mystery}}\n{{code}}\n", encoding="utf-8")
+def _check_template(monkeypatch, loader, text: str) -> str:
+    """Run `loader`'s checks on `text` in place of its bundled file."""
+    monkeypatch.setattr(prompts, "_data_text", lambda name: text)
+    return loader.__wrapped__()
+
+
+def test_layout_loader_rejects_missing_placeholder(monkeypatch):
+    assert _check_template(monkeypatch, load_layout, LAYOUT) == LAYOUT
+    for absent in ("story_format_hint", "scot_block", "exemplars"):
+        with pytest.raises(TemplateError, match=f"^template missing placeholders: {absent}$"):
+            _check_template(monkeypatch, load_layout, LAYOUT.replace("{{" + absent + "}}", ""))
+
+
+def test_layout_loader_rejects_unknown_placeholder(monkeypatch):
     with pytest.raises(TemplateError, match="mystery"):
-        load_layout(path, _config("zero"))
+        _check_template(monkeypatch, load_layout, LAYOUT.replace("{{code}}", "{{mystery}}\n{{code}}"))
 
 
-def test_layout_must_start_with_directive(tmp_path):
-    path = tmp_path / "layout.txt"
-    path.write_text("preamble\n{{directive}}\n{{code}}\n", encoding="utf-8")
+def test_layout_must_start_with_directive(monkeypatch):
     with pytest.raises(TemplateError, match="start with"):
-        load_layout(path, _config("zero"))
+        _check_template(monkeypatch, load_layout, "preamble\n" + LAYOUT)
 
 
-def test_layout_must_end_with_code(tmp_path):
-    path = tmp_path / "layout.txt"
-    path.write_text("{{directive}}\n{{code}}\nThanks.\n", encoding="utf-8")
+def test_layout_must_end_with_code(monkeypatch):
     with pytest.raises(TemplateError, match="end with"):
-        load_layout(path, _config("zero"))
-    path.write_text("{{directive}}\n{{code}}\n\n", encoding="utf-8")
-    load_layout(path, _config("zero"))  # trailing whitespace is fine
+        _check_template(monkeypatch, load_layout, LAYOUT + "Thanks.\n")
+    _check_template(monkeypatch, load_layout, LAYOUT + "\n")  # trailing whitespace is fine
 
 
-def test_scot_block_loader_requires_primitives(tmp_path):
-    path = tmp_path / "scot.txt"
-    path.write_text("Think about the sequence and each branch.\n", encoding="utf-8")
+def test_scot_block_loader_requires_primitives(monkeypatch):
+    text = "Think about the sequence and each branch.\n"
     with pytest.raises(TemplateError, match="loop"):
-        load_scot_block(path)
+        _check_template(monkeypatch, load_scot_block, text)
 
 
 def test_default_scot_block_names_all_primitives():
