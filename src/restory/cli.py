@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from . import corpus
-from .errors import DataError, GatewayError
+from .errors import BudgetExceededError, DataError, GatewayError
 from .jsonl import csv_text, read_unique_jsonl
 from .prompts import PROMPT_VARIANTS, default_prompt_config
 
@@ -281,20 +281,25 @@ def _cmd_generate(args) -> int:
         concurrency=manifest.concurrency,
     ) as gateway:
         for variant, config in zip(variants, configs):
-            result = runner.run_experiment(
-                dataset,
-                gateway,
-                config,
-                embedder=embedder,
-                results_path=(base_dir / variant if args.grid else base_dir) / "results.jsonl",
-                prompt_label=variant,
-            )
+            results_path = (base_dir / variant if args.grid else base_dir) / "results.jsonl"
+            try:
+                result = runner.run_experiment(dataset, gateway, config, embedder=embedder,
+                                               results_path=results_path, prompt_label=variant)
+            except BudgetExceededError:
+                kept = results_path.read_bytes().count(b"\n")
+                print(f"{variant}: cut by the budget after {kept} of {len(dataset)} records",
+                      file=sys.stderr)
+                raise
             print(
                 f"{variant}: {len(result.records)} records, "
                 f"{len(result.failures)} failures, {result.provider_calls} provider calls, "
                 f"{result.total_cost_usd:.6f} USD",
                 file=sys.stderr,
             )
+            if result.short_completions:
+                print(f"{variant}: {result.short_completions} of {result.new_completions} "
+                      f"completions shorter than min_output_tokens = "
+                      f"{generation.min_output_tokens}", file=sys.stderr)
             if not result.records:
                 worst = EXIT_PROVIDER  # every entry failed
     return worst

@@ -26,6 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from .errors import BudgetExceededError, DataError, GatewayError
@@ -330,7 +331,8 @@ class Gateway:
     At most `concurrency` provider calls are in flight at once: a call holds
     a permit from its budget check through its last retry and the settling
     of its cost, and the cache key, cache probe, ledger row and cache write
-    run outside it, while other calls wait on the provider.
+    run outside it, while other calls wait on the provider. A cache key has
+    at most one call in flight; its other misses wait and take its entry.
 
     Completions are cached under `cache_dir`, which the first ledger row
     makes. Every completion, hit or miss, appends a row to the ledger
@@ -365,6 +367,7 @@ class Gateway:
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._lock = threading.Lock()
+        self._inflight: dict[str, threading.Event] = {}  # key -> set when its call ends
         self.spent_usd = 0.0
         self.provider_calls = 0
         # The cache key hashes the `dumps` of the model id, the decoding
@@ -394,7 +397,11 @@ class Gateway:
 
     def _cache_key(self, prompt_text: str) -> str:
         digest = self._key_prefix.copy()
-        digest.update(json.dumps(prompt_text, ensure_ascii=False).encode("utf-8"))
+        # The bytes of `json.dumps(prompt_text, ensure_ascii=False)`: the ASCII
+        # escaper gives them too, faster, for ASCII text free of the DEL it escapes.
+        ascii_safe = prompt_text.isascii() and "\x7f" not in prompt_text
+        escape = encode_basestring_ascii if ascii_safe else encode_basestring
+        digest.update(escape(prompt_text).encode("utf-8"))
         digest.update(self._key_suffix)
         return digest.hexdigest()
 
@@ -443,11 +450,33 @@ class Gateway:
         key = self._cache_key(prompt_text)
 
         hit = self._cache_load(key)
-        if hit is not None:
-            self.ledger.append(self.model.model_id, hit.input_tokens,
-                               hit.output_tokens, 0.0, cached=True)
-            return hit
+        if hit is None:
+            # One provider call per key at a time. A miss that finds the key's
+            # call in flight waits for it and reads its entry as a hit; if that
+            # call failed, the miss makes the call itself.
+            claim = threading.Event()
+            while hit is None:
+                with self._lock:
+                    leader = self._inflight.setdefault(key, claim)
+                if leader is not claim:
+                    leader.wait()
+                    hit = self._cache_load(key)
+                    continue
+                try:
+                    # A call that settled since the probe above left its entry.
+                    hit = self._cache_load(key)
+                    if hit is None:
+                        return self._call(key, prompt_text)
+                finally:
+                    with self._lock:
+                        del self._inflight[key]
+                    claim.set()
+        self.ledger.append(self.model.model_id, hit.input_tokens,
+                           hit.output_tokens, 0.0, cached=True)
+        return hit
 
+    def _call(self, key: str, prompt_text: str) -> CompletionResult:
+        """The provider's completion of a prompt the cache does not hold."""
         # The budget check and the settled cost share the permit, so a call
         # that waited for one sees the spend of every call before it.
         with self._permits:
@@ -491,11 +520,6 @@ class Gateway:
             cost = estimate_cost(input_tokens, output_tokens, self.model)
             with self._lock:
                 self.spent_usd += cost
-        if output_tokens < self.config.min_output_tokens:
-            logger.warning(
-                "completion shorter than minimum output length: %d < %d tokens",
-                output_tokens, self.config.min_output_tokens,
-            )
 
         result = CompletionResult(
             text=response.text,

@@ -10,8 +10,8 @@ target snippet's code back from a rendered prompt.
 Wording lives in the bundled template files, not in code. The one layout
 file serves all six variants, so it holds all five placeholders,
 `{{directive}}`, `{{story_format_hint}}`, `{{scot_block}}`, `{{exemplars}}`
-and `{{code}}`; the reasoning block must mention all three control-flow
-primitives (sequence, branch, loop).
+and `{{code}}`, which ends it and appears once; the reasoning block must
+mention all three control-flow primitives (sequence, branch, loop).
 """
 
 from __future__ import annotations
@@ -109,6 +109,10 @@ class PromptConfig:
                 f"{fewest if fewest == most else f'at least {fewest}'}, got {len(self.exemplars)}"
             )
 
+    @cached_property  # the config is frozen: each language's frame is built once
+    def _frames(self) -> dict[str, str]:
+        return {}
+
     @cached_property  # the config is frozen, so its digest is computed once
     def fingerprint(self) -> str:
         import hashlib
@@ -178,8 +182,9 @@ def load_layout() -> str:
         raise TemplateError("template missing placeholders: " + ", ".join(sorted(missing)))
     if not text.startswith("{{directive}}"):
         raise TemplateError("template must start with {{directive}}")
-    if not text.rstrip().endswith("{{code}}"):  # `prompted_code` reads the last block
-        raise TemplateError("template must end with {{code}}")
+    # `prompted_code` reads the last block, and `_frame` takes all before it.
+    if not text.rstrip().endswith("{{code}}") or text.count("{{code}}") > 1:
+        raise TemplateError("template must end with {{code}} and hold no other")
     return text
 
 
@@ -219,24 +224,35 @@ def _exemplar_block(exemplars: Sequence[Exemplar], language_tag: str) -> str:
     )
 
 
-def render_prompt(config: PromptConfig, snippet: CodeSnippet,
-                  exemplars: Sequence[Exemplar] | None = None) -> RenderedPrompt:
-    """Assemble the prompt text for one snippet. Pure: identical inputs give
-    byte-identical text. `exemplars`, when given, are shown in place of the config's."""
-    if exemplars is not None:
-        config = replace(config, exemplars=tuple(exemplars))
-    if not snippet.source_text.strip():
-        raise EmptySnippetError(f"snippet {snippet.id} has empty source")
-
+def _frame(config: PromptConfig, language_tag: str) -> str:
+    """A prompt up to its snippet's fence: the layout before `{{code}}`, filled,
+    blank-line runs cut and leading whitespace dropped. A fence opens and closes
+    on a backtick, so no blank run crosses it; only whitespace follows it."""
     substitutions = {
         "directive": config.directive,
         "story_format_hint": config.story_format_hint,
         "scot_block": load_scot_block() if config.scot else "",
-        "exemplars": _exemplar_block(config.exemplars, snippet.language_tag),
-        "code": _fenced(shown_code(snippet.source_text), snippet.language_tag),
+        "exemplars": _exemplar_block(config.exemplars, language_tag),
     }
-    text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], load_layout())
-    text = _BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
-    if not text.startswith(config.directive):
+    head = load_layout().rpartition("{{code}}")[0]
+    frame = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], head)
+    frame = _BLANK_RUN_RE.sub("\n\n", frame).lstrip()
+    if not frame.startswith(config.directive):
         raise TemplateError("rendered prompt does not begin with the directive")
-    return RenderedPrompt(text=text, config_fingerprint=config.fingerprint)
+    return frame
+
+
+def render_prompt(config: PromptConfig, snippet: CodeSnippet,
+                  exemplars: Sequence[Exemplar] | None = None) -> RenderedPrompt:
+    """Assemble the prompt text for one snippet: the frame, then the fenced code.
+    Pure: identical inputs give byte-identical text. `exemplars`, when given,
+    are shown in place of the config's."""
+    if exemplars is not None:
+        config = replace(config, exemplars=tuple(exemplars))
+    if not snippet.source_text.strip():
+        raise EmptySnippetError(f"snippet {snippet.id} has empty source")
+    frame = config._frames.get(snippet.language_tag)
+    if frame is None:
+        frame = config._frames[snippet.language_tag] = _frame(config, snippet.language_tag)
+    code = _fenced(shown_code(snippet.source_text), snippet.language_tag)
+    return RenderedPrompt(text=frame + code + "\n", config_fingerprint=config.fingerprint)

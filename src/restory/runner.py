@@ -155,6 +155,10 @@ class RunResult:
     failures: list[FailureRecord]
     total_cost_usd: float
     provider_calls: int
+    # Completions the provider made in this run (cache misses that returned),
+    # and how many of them fell short of the gateway's `min_output_tokens`.
+    new_completions: int
+    short_completions: int
 
 
 def _scores(obj: dict) -> dict[str, ScoreTriple]:
@@ -231,6 +235,8 @@ def run_experiment(
     failures: list[FailureRecord] = []
     spent_before = gateway.spent_usd
     calls_before = gateway.provider_calls
+    new_completions = short_completions = 0
+    min_output_tokens = gateway.config.min_output_tokens
 
     def generate(entry: DatasetRecord):
         """(rendered prompt, completion), or the GatewayError that ended the call."""
@@ -284,8 +290,12 @@ def run_experiment(
                 record = FailureRecord(entry.snippet.id, entry.snippet.nloc, str(outcome))
                 failures.append(record)
             else:
-                record = scored(entry, *outcome)
+                rendered, completion = outcome
+                record = scored(entry, rendered, completion)
                 records.append(record)
+                if not completion.cached:
+                    new_completions += 1
+                    short_completions += completion.output_tokens < min_output_tokens
             if out_fh:
                 out_fh.write(record.to_json() + "\n")
                 out_fh.flush()
@@ -302,6 +312,8 @@ def run_experiment(
         failures=failures,
         total_cost_usd=gateway.spent_usd - spent_before,
         provider_calls=gateway.provider_calls - calls_before,
+        new_completions=new_completions,
+        short_completions=short_completions,
     )
 
 

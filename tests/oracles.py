@@ -10,7 +10,8 @@ The rest are earlier versions of rewritten hot functions, kept unchanged
 so that properties can pin the rewrites to their exact outputs: the
 per-character tokenize loop, the BLEU that clipped over every candidate
 n-gram, the greedy matching that went through `np.clip` and `np.mean`, the
-cache key that serialised its whole payload per call, the snippet check
+cache key that serialised its whole payload per call, the prompt render
+that filled and normalised the whole layout per snippet, the snippet check
 that built every line list to count physical lines, and the generic JSON
 record decoder that walked a field table and called the constructor per
 record, with the results-line builders that used it.
@@ -30,6 +31,7 @@ from dataclasses import MISSING, fields
 from functools import cache, lru_cache
 from typing import Sequence
 
+from restory import prompts
 from restory.corpus import NoCodeError, UnterminatedCommentError
 from restory.metrics import EmbeddedText, FidelityBand, MetricInputError, ScoreTriple, tokenize
 from restory.runner import FailureRecord, GenerationRecord
@@ -150,6 +152,25 @@ def oracle_cache_key(model_id: str, config, prompt_text: str) -> str:
         "prompt": prompt_text,
     }, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def oracle_render_prompt(config, snippet):
+    """A prompt rendered by filling every placeholder of the whole layout,
+    then cutting blank-line runs and stripping the text, once per snippet."""
+    if not snippet.source_text.strip():
+        raise prompts.EmptySnippetError(f"snippet {snippet.id} has empty source")
+    substitutions = {
+        "directive": config.directive,
+        "story_format_hint": config.story_format_hint,
+        "scot_block": prompts.load_scot_block() if config.scot else "",
+        "exemplars": prompts._exemplar_block(config.exemplars, snippet.language_tag),
+        "code": prompts._fenced(prompts.shown_code(snippet.source_text), snippet.language_tag),
+    }
+    text = prompts._PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], prompts.load_layout())
+    text = prompts._BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
+    if not text.startswith(config.directive):
+        raise prompts.TemplateError("rendered prompt does not begin with the directive")
+    return prompts.RenderedPrompt(text=text, config_fingerprint=config.fingerprint)
 
 
 def oracle_exceeds_physical_lines(source_text: str, nloc: int) -> bool:

@@ -321,9 +321,11 @@ def test_generate_grid_budget_covers_the_whole_invocation(tmp_path, capsys):
     full = write_manifest(tmp_path, dataset, out_name="full", model="o1")
     assert dispatch(["generate", "--manifest", str(full), "--grid"]) == 0
     capsys.readouterr()
-    costs = [_results_cost(tmp_path / "full" / v / "results.jsonl") for v in GRID_DIGESTS]
-    budget = 1.5 * max(costs)  # above every variant's cost, below their sum
-    assert budget < sum(costs)
+    costs = {v: _results_cost(tmp_path / "full" / v / "results.jsonl") for v in GRID_DIGESTS}
+    # Above every variant's cost and below their sum: the first two variants
+    # finish, and the third, `one`, is cut part-way.
+    budget = costs["few"] + costs["few-scot"] + 0.6 * costs["one"]
+    assert max(costs.values()) < budget < sum(costs.values())
 
     capped = write_manifest(tmp_path, dataset, out_name="capped", model="o1",
                             budget_usd=repr(budget))
@@ -343,8 +345,34 @@ def test_generate_grid_budget_covers_the_whole_invocation(tmp_path, capsys):
     whole = (tmp_path / "full" / aborted / "results.jsonl").read_bytes()
     assert len(prefix) < len(whole) and whole.startswith(prefix)
     assert prefix == b"" or prefix.endswith(b"\n")
+    cut = re.findall(r"^(\S+): cut by the budget after (\d+) of (\d+) records$", err, re.MULTILINE)
+    assert cut == [("one", str(prefix.count(b"\n")), "4")]
+    assert aborted == "one" and 0 < prefix.count(b"\n") < 4
+    assert err.index(": cut by the budget") < err.index("error: budget")
     for variant in later:
         assert not (tmp_path / "capped" / variant).exists()
+
+
+def test_generate_counts_short_completions_in_one_line_per_variant(tmp_path, capsys):
+    dataset = tmp_path / "small.jsonl"
+    records = [dataclasses.replace(rec, reference_story=rec.reference_story + " and more" * i)
+               for i, rec in enumerate(make_dataset([5, 105, 205, 349]))]
+    save_dataset(records, dataset)
+    # The echo replies are the reference stories; the longest sets the bar.
+    longest = max(math.ceil(len(rec.reference_story) / 4) for rec in records)
+    manifest = write_manifest(tmp_path, dataset, min_output_tokens=str(longest))
+    assert dispatch(["generate", "--manifest", str(manifest), "--grid"]) == 0
+    err = capsys.readouterr().err
+    short = sum(math.ceil(len(rec.reference_story) / 4) < longest for rec in records)
+    assert 0 < short < 4
+    for variant in GRID_DIGESTS:
+        summary = re.search(f"^{variant}: 4 records, .* USD\n", err, re.MULTILINE)
+        assert summary and err[summary.end():].startswith(
+            f"{variant}: {short} of 4 completions shorter than min_output_tokens = {longest}\n")
+    assert list(_summaries(err)) == list(GRID_DIGESTS)
+    assert dispatch(["generate", "--manifest", str(manifest), "--grid"]) == 0
+    err = capsys.readouterr().err  # a warm rerun: no new completion to check
+    assert "shorter than" not in err and list(_summaries(err)) == list(GRID_DIGESTS)
 
 
 def test_generate_grid_summaries_state_each_variants_own_spend(tmp_path, capsys):

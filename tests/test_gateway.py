@@ -8,6 +8,7 @@ import os
 import socket
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -146,9 +147,16 @@ _KEY_CONFIGS = [
      GenerationConfig(temperature=0.7, min_output_tokens=1, repetition_penalty=1.3,
                       max_output_tokens=512)),
 ]
-_KEY_TEXT = st.text(alphabet=st.one_of(
-    st.sampled_from('"\\\x00\x1f\x7f\n\r\t\u2028\xe9\u4e2d\U0001f600'), st.characters(),
-))
+# About half the texts are pure ASCII, with and without DEL, which only the
+# ASCII escaper escapes; the rest may hold any character.
+_KEY_TEXT = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=0x7e)),
+    st.text(alphabet=st.characters(max_codepoint=0x7f)),
+    st.text(alphabet=st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n\r\t\u2028\xe9\u4e2d\U0001f600'),
+        st.characters(),
+    )),
+)
 
 
 @settings(max_examples=200)
@@ -168,6 +176,20 @@ def test_cache_key_equals_the_whole_payload_derivation(tmp_path_factory, model_a
     assert gateway._cache_key(prompt) == want
 
 
+@pytest.mark.parametrize("prompt, key", [
+    ('Describe "this":\n\tint x = 1; // a \\ b\n',
+     "4ed7ab8dc10601220251b393930fa066fa8292663b88286c0a193ffb6277acd7"),
+    ("DEL \x7f and a unit separator \x1f\n",
+     "c30d52a0001e7ca3303740928c1cdb2a951747e19582dd9d05dcee86d34c1ea2"),
+    ("caf\u00e9 \u4e2d \U0001f600 \u2028 \x7f\n",
+     "c6680d711f6759f63c8629a31e71cb687b0d0a64d42c6bea59d6ee638ddd0016"),
+], ids=["ascii", "ascii-with-del", "non-ascii"])
+def test_cache_keys_of_fixed_prompts_are_pinned(tmp_path, prompt, key):
+    # Keys name the entries of existing caches, so they never change.
+    gateway = Gateway(CountingProvider(), MODEL, cache_dir=tmp_path / "unused-cache")
+    assert gateway._cache_key(prompt) == key
+
+
 def test_cache_idempotence_under_concurrency(tmp_path):
     provider = CountingProvider()
     gateway = _gateway(provider, tmp_path)
@@ -176,6 +198,116 @@ def test_cache_idempotence_under_concurrency(tmp_path):
         results = list(pool.map(lambda _: gateway.complete("warm me"), range(16)))
     assert provider.calls == 1
     assert all(r.text == provider.text for r in results)
+
+
+class SlowProvider:
+    """Answers after `delay_s`, counting its calls; the calls listed in
+    `rejected` (1 is the first) are refused after the same wait."""
+
+    def __init__(self, delay_s: float, text: str = "tok " * 400, rejected=()):
+        self.delay_s, self.text, self.rejected = delay_s, text, set(rejected)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, model_id: str, prompt_text: str, config: GenerationConfig):
+        with self._lock:
+            self.calls += 1
+            number = self.calls
+        time.sleep(self.delay_s)
+        if number in self.rejected:
+            raise ProviderRejectedError(f"synthetic rejection of call {number}")
+        return StaticProvider(self.text).generate(model_id, prompt_text, config)
+
+
+def _complete_together(gateway, prompt: str, threads: int) -> list:
+    """`threads` calls of `gateway.complete(prompt)` released at once: each
+    one's result, or the GatewayError it raised."""
+    start = threading.Barrier(threads)
+
+    def call(_):
+        start.wait()
+        try:
+            return gateway.complete(prompt)
+        except ProviderRejectedError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(call, range(threads)))
+
+
+def test_concurrent_misses_on_one_key_make_one_provider_call(tmp_path):
+    provider = SlowProvider(0.1)
+    gateway = _gateway(provider, tmp_path, concurrency=4)
+    results = _complete_together(gateway, "the same prompt", 4)
+    assert provider.calls == 1
+    assert sorted(r.cached for r in results) == [False, True, True, True]
+    (paid,) = [r for r in results if not r.cached]
+    assert all(r.text == paid.text for r in results)
+    assert all(r.cost_usd == paid.cost_usd for r in results)  # the stored entry
+    assert gateway.spent_usd == paid.cost_usd > 0
+    gateway.close()
+    with open(tmp_path / "cache" / "ledger.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted((row["cached"], float(row["cost_usd"])) for row in rows) == [
+        ("false", paid.cost_usd), ("true", 0.0), ("true", 0.0), ("true", 0.0)]
+
+
+def test_a_failed_call_leaves_its_key_to_the_next_waiting_miss(tmp_path):
+    provider = SlowProvider(0.1, rejected={1})
+    gateway = _gateway(provider, tmp_path, concurrency=4)
+    results = _complete_together(gateway, "the same prompt", 4)
+    assert provider.calls == 2
+    failed = [r for r in results if isinstance(r, ProviderRejectedError)]
+    assert [str(exc) for exc in failed] == ["synthetic rejection of call 1"]
+    completed = [r for r in results if r not in failed]
+    assert sorted(r.cached for r in completed) == [False, True, True]
+    assert ledger_cost(tmp_path / "cache" / "ledger.csv") == gateway.spent_usd > 0
+    assert gateway._inflight == {}
+
+
+def test_a_miss_that_claims_its_key_after_the_call_settled_reads_its_entry(tmp_path):
+    provider = CountingProvider()
+    gateway = _gateway(provider, tmp_path)
+    load, probed, settled = gateway._cache_load, threading.Event(), threading.Event()
+
+    def late_probe(key):
+        entry = load(key)
+        if threading.current_thread() is late and not probed.is_set():
+            probed.set()  # a miss; the key's call settles before this one claims it
+            settled.wait(timeout=10)
+        return entry
+
+    gateway._cache_load = late_probe
+    results = []
+    late = threading.Thread(target=lambda: results.append(gateway.complete("p")))
+    late.start()
+    try:
+        assert probed.wait(timeout=10)
+        first = gateway.complete("p")
+    finally:
+        settled.set()
+    late.join(timeout=10)
+    assert not late.is_alive()
+    assert provider.calls == 1
+    assert first.cached is False and [r.cached for r in results] == [True]
+
+
+def test_many_threads_on_few_keys_make_one_call_per_key(tmp_path):
+    provider = SlowProvider(0.0)
+    gateway = _gateway(provider, tmp_path, concurrency=3)
+    prompts = [f"prompt {i % 50}" for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # thread switches between any two steps
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(gateway.complete, p) for p in prompts]
+            results = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert provider.calls == 50  # a second call of a key would be a lost claim
+    assert sum(not r.cached for r in results) == 50 and gateway._inflight == {}
+    gateway.close()
+    assert len(_ledger_lines(tmp_path / "cache" / "ledger.csv")) == 1 + len(prompts)
 
 
 _ENTRY = {"text": "t", "input_tokens": 1, "output_tokens": 1, "latency_ms": 0,
@@ -507,13 +639,6 @@ def test_a_gateway_writes_nothing_before_its_first_completion(tmp_path):
     cache = tmp_path / "cache"
     Gateway(CountingProvider(), MODEL, cache_dir=cache).close()
     assert not cache.exists()
-
-
-def test_short_output_warns(tmp_path, caplog):
-    gateway = _gateway(CountingProvider("tiny"), tmp_path)
-    with caplog.at_level(logging.WARNING, logger="restory.gateway"):
-        gateway.complete("p")
-    assert any("minimum output length" in m for m in caplog.messages)
 
 
 # ---------------------------------------------------------------------------

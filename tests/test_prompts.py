@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import types
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from restory import prompts
 from restory.corpus import CodeSnippet
@@ -25,6 +27,7 @@ from restory.prompts import (
 )
 
 from conftest import make_snippet, snippet_from_source
+from oracles import oracle_render_prompt
 
 
 def _config(variant: str, few_k: int = 3) -> PromptConfig:
@@ -146,6 +149,63 @@ def test_fence_outgrows_the_longest_backtick_run_and_code_without_one_keeps_thre
         assert prompted_code(not_fenced) is None
 
 
+# Text pieces that meet the frame at its edges: blank-line runs, backtick
+# runs, a literal placeholder and trailing whitespace.
+_PIECES = st.lists(st.one_of(
+    st.sampled_from(["\n", "\n\n\n", " \n\n", "\t", "  ", "`", "```", "````",
+                     "{{code}}", "{{directive}}", "Example 1:", "x"]),
+    st.text(alphabet="ab `{}\n\t", max_size=6),
+), max_size=8).map("".join)
+_EXEMPLARS = st.builds(Exemplar, _PIECES.filter(bool), _PIECES.filter(bool))
+
+
+@st.composite
+def _configs(draw) -> PromptConfig:
+    shots = draw(st.sampled_from(sorted(prompts.SHOT_MODES)))
+    count = draw(st.integers(1, 3)) if shots == "few" else prompts.SHOT_MODES[shots][0]
+    return PromptConfig(
+        shots=shots,
+        scot=draw(st.booleans()),
+        # Mostly a directive that leads the prompt; sometimes one the
+        # blank-line cut or the strip changes, which the render refuses.
+        directive=draw(st.one_of(st.just("Write one story."), _PIECES).filter(bool)),
+        story_format_hint=draw(_PIECES),
+        exemplars=tuple(draw(st.lists(_EXEMPLARS, min_size=count, max_size=count))),
+    )
+
+
+def _outcome(render, config, snippet):
+    try:
+        return render(config, snippet)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(config=_configs(), sources=st.lists(st.tuples(
+    st.sampled_from(["", "\n", "\n\n\n", " \n"]), _PIECES,
+    st.sampled_from(["", "\n", "\n\n\n", " \n\t\n"]),
+    st.sampled_from(["cpp", "c", ""]),
+), min_size=1, max_size=4))
+def test_render_from_the_frame_equals_the_whole_layout_render(config, sources):
+    # One config renders every snippet, so later ones reuse its frames; a
+    # snippet stands in by the three fields a render reads, with any tag.
+    for lead, body, trail, tag in sources:
+        snippet = types.SimpleNamespace(id="s", source_text=lead + body + trail, language_tag=tag)
+        assert _outcome(render_prompt, config, snippet) == \
+            _outcome(oracle_render_prompt, config, snippet)
+
+
+def test_a_configs_frame_is_built_once_per_language():
+    config = _config("few-scot")
+    cpp = make_snippet("s", 5)
+    c = types.SimpleNamespace(id="t", source_text="int x;\n", language_tag="c")
+    for snippet in (cpp, c, cpp, c):
+        assert render_prompt(config, snippet) == oracle_render_prompt(config, snippet)
+    assert sorted(config._frames) == ["c", "cpp"]
+    assert "```c\n" in config._frames["c"] and "```cpp\n" in config._frames["cpp"]
+
+
 def test_token_envelope_small_zero_vs_large_few_scot():
     small = render_prompt(_config("zero"), make_snippet("small", 5))
     large = render_prompt(_config("few-scot"), make_snippet("large", 345))
@@ -193,6 +253,9 @@ def test_layout_must_start_with_directive(monkeypatch):
 def test_layout_must_end_with_code(monkeypatch):
     with pytest.raises(TemplateError, match="end with"):
         _check_template(monkeypatch, load_layout, LAYOUT + "Thanks.\n")
+    with pytest.raises(TemplateError, match=r"^template must end with \{\{code\}\} and hold no other$"):
+        _check_template(monkeypatch, load_layout,
+                        LAYOUT.replace("{{exemplars}}", "{{code}}\n{{exemplars}}"))
     _check_template(monkeypatch, load_layout, LAYOUT + "\n")  # trailing whitespace is fine
 
 

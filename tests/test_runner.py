@@ -3,9 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import random
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -159,6 +161,30 @@ def test_warm_rerun_zero_provider_calls_and_identical_bytes(tmp_path):
     assert first_path.read_bytes() == second_path.read_bytes()
     assert cold.records == warm.records
     assert warm.total_cost_usd == 0.0
+
+
+def test_short_completions_are_counted_not_logged(tmp_path, caplog):
+    from restory.gateway import GenerationConfig
+
+    dataset = make_dataset([5, 25, 45, 65])
+    provider = CountingProvider("tiny")  # one estimated output token
+    config = default_prompt_config("zero")
+
+    def gateway(min_output_tokens: int) -> Gateway:
+        return close_at_teardown(Gateway(
+            provider, MODEL, GenerationConfig(min_output_tokens=min_output_tokens),
+            cache_dir=tmp_path / f"cache-{min_output_tokens}"))
+
+    shared = gateway(2)
+    with caplog.at_level(logging.DEBUG, logger="restory"):
+        first = run_experiment(dataset[:2], shared, config)
+        second = run_experiment(dataset, shared, config)  # its first two entries hit
+        met = run_experiment(dataset[:2], gateway(1), config)
+    assert (first.new_completions, first.short_completions) == (2, 2)
+    assert (second.new_completions, second.short_completions) == (2, 2)
+    assert (met.new_completions, met.short_completions) == (2, 0)
+    assert provider.calls == 6
+    assert caplog.records == []
 
 
 def test_run_total_cost_equals_ledger_delta(tmp_path):
@@ -326,10 +352,13 @@ def test_concurrency_bounds_calls_in_flight_while_the_next_entry_waits_ready(tmp
         try:
             run = background.submit(run_experiment, dataset, gateway, config,
                                     results_path=tmp_path / "pool.jsonl", prompt_label="zero")
-            wait_until(lambda: provider.in_flight == concurrency and len(probed) == len(ready))
+            # A miss probes again once it holds its key's claim.
+            wait_until(lambda: provider.in_flight == concurrency
+                       and len(probed) == 2 * len(ready))
             time.sleep(0.05)  # room for a call beyond the limit to start, were it allowed
             assert provider.in_flight == concurrency
-            assert set(probed) == ready  # the next entry is rendered and probed
+            # the next entry is rendered and probed
+            assert Counter(probed) == dict.fromkeys(ready, 2)
         finally:
             provider.release()
         run.result(timeout=10)
