@@ -368,6 +368,7 @@ class Gateway:
         self._rng = rng or random.Random()
         self._lock = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}  # key -> set when its call ends
+        self._calls_ended = 0  # claims released so far
         self.spent_usd = 0.0
         self.provider_calls = 0
         # The cache key hashes the `dumps` of the model id, the decoding
@@ -449,6 +450,7 @@ class Gateway:
         """
         key = self._cache_key(prompt_text)
 
+        ended = self._calls_ended
         hit = self._cache_load(key)
         if hit is None:
             # One provider call per key at a time. A miss that finds the key's
@@ -458,18 +460,22 @@ class Gateway:
             while hit is None:
                 with self._lock:
                     leader = self._inflight.setdefault(key, claim)
+                    stale = self._calls_ended != ended
                 if leader is not claim:
                     leader.wait()
+                    ended = self._calls_ended
                     hit = self._cache_load(key)
                     continue
                 try:
-                    # A call that settled since the probe above left its entry.
-                    hit = self._cache_load(key)
+                    # A call that ended since the last probe may have stored the entry.
+                    if stale:
+                        hit = self._cache_load(key)
                     if hit is None:
                         return self._call(key, prompt_text)
                 finally:
                     with self._lock:
                         del self._inflight[key]
+                        self._calls_ended += 1
                     claim.set()
         self.ledger.append(self.model.model_id, hit.input_tokens,
                            hit.output_tokens, 0.0, cached=True)
