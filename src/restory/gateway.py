@@ -328,11 +328,13 @@ class Gateway:
     `restory generate` makes one per invocation, so a `--grid`'s variants
     share its budget, ledger handle, permits and cache-key prefix.
 
-    At most `concurrency` provider calls are in flight at once: a call holds
-    a permit from its budget check through its last retry and the settling
-    of its cost, and the cache key, cache probe, ledger row and cache write
-    run outside it, while other calls wait on the provider. A cache key has
-    at most one call in flight; its other misses wait and take its entry.
+    One condition admits every call. `complete` claims its cache key before
+    its one cache probe: a later completion of the key waits for the claim,
+    then reads the stored entry as a hit, or calls the provider itself if
+    the first call failed. A provider call waits for one of `concurrency`
+    permits and checks the budget as it takes one, and holds it through its
+    last retry and the settling of its cost; the cache key, probe, ledger
+    row and cache write take no permit.
 
     Completions are cached under `cache_dir`, which the first ledger row
     makes. Every completion, hit or miss, appends a row to the ledger
@@ -363,12 +365,12 @@ class Gateway:
         self.retries = retries
         self.budget_usd = budget_usd
         self.concurrency = concurrency
-        self._permits = threading.BoundedSemaphore(concurrency)
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._lock = threading.Lock()
-        self._inflight: dict[str, threading.Event] = {}  # key -> set when its call ends
-        self._calls_ended = 0  # claims released so far
+        # Guards the claimed keys, the permits taken, `spent_usd` and `provider_calls`.
+        self._admission = threading.Condition()
+        self._claimed: set[str] = set()
+        self._calls = 0  # calls holding a permit
         self.spent_usd = 0.0
         self.provider_calls = 0
         # The cache key hashes the `dumps` of the model id, the decoding
@@ -449,50 +451,38 @@ class Gateway:
         a paid call keeps its row even if the store fails.
         """
         key = self._cache_key(prompt_text)
-
-        ended = self._calls_ended
-        hit = self._cache_load(key)
-        if hit is None:
-            # One provider call per key at a time. A miss that finds the key's
-            # call in flight waits for it and reads its entry as a hit; if that
-            # call failed, the miss makes the call itself.
-            claim = threading.Event()
-            while hit is None:
-                with self._lock:
-                    leader = self._inflight.setdefault(key, claim)
-                    stale = self._calls_ended != ended
-                if leader is not claim:
-                    leader.wait()
-                    ended = self._calls_ended
-                    hit = self._cache_load(key)
-                    continue
-                try:
-                    # A call that ended since the last probe may have stored the entry.
-                    if stale:
-                        hit = self._cache_load(key)
-                    if hit is None:
-                        return self._call(key, prompt_text)
-                finally:
-                    with self._lock:
-                        del self._inflight[key]
-                        self._calls_ended += 1
-                    claim.set()
+        with self._admission:
+            while key in self._claimed:
+                self._admission.wait()
+            self._claimed.add(key)
+        try:
+            hit = self._cache_load(key)
+            if hit is None:
+                return self._call(key, prompt_text)
+        finally:
+            with self._admission:
+                self._claimed.remove(key)
+                self._admission.notify_all()
         self.ledger.append(self.model.model_id, hit.input_tokens,
                            hit.output_tokens, 0.0, cached=True)
         return hit
 
     def _call(self, key: str, prompt_text: str) -> CompletionResult:
         """The provider's completion of a prompt the cache does not hold."""
-        # The budget check and the settled cost share the permit, so a call
-        # that waited for one sees the spend of every call before it.
-        with self._permits:
+        with self._admission:
+            # A call that waited for its permit sees the spend of every call before it.
+            while self._calls >= self.concurrency:
+                self._admission.wait()
             if self.budget_usd is not None and self.spent_usd >= self.budget_usd:
                 raise self.over_budget()
+            self._calls += 1
+        cost = 0.0
+        try:
             attempt = 0
             start = time.monotonic()
             while True:
                 try:
-                    with self._lock:
+                    with self._admission:
                         self.provider_calls += 1
                     response = self.provider.generate(self.model.model_id, prompt_text, self.config)
                     break
@@ -524,8 +514,11 @@ class Gateway:
                 else (estimate_tokens(response.text) if response.text else 0)
             )
             cost = estimate_cost(input_tokens, output_tokens, self.model)
-            with self._lock:
+        finally:
+            with self._admission:
                 self.spent_usd += cost
+                self._calls -= 1
+                self._admission.notify_all()
 
         result = CompletionResult(
             text=response.text,

@@ -270,16 +270,14 @@ def _ngrams(tokens: Sequence[str], n: int):
 def bleu(
     candidate: Sequence[str],
     reference: Sequence[str],
-    max_n: int = 4,
     smoothing: bool = False,
 ) -> float:
-    """Geometric mean of clipped n-gram precisions times the brevity penalty.
+    """BLEU-4: the geometric mean of the clipped 1- to 4-gram precisions,
+    times the brevity penalty.
 
     With smoothing, numerators and denominators for n >= 2 get add-one;
     without it, any zero precision collapses the score to 0.
     """
-    if max_n < 1:
-        raise MetricInputError(f"max_n must be >= 1, got {max_n}")
     if not candidate or not reference:
         _warnings.warn("bleu over an empty sequence is defined as 0", RuntimeWarning)
         return 0.0
@@ -289,11 +287,11 @@ def bleu(
     # reference copy, so an order's matches sum to min(candidate count,
     # reference count) over its n-grams: the clipped count.
     ref_left = Counter()
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         ref_left.update(_ngrams(reference, n))
     left_of = ref_left.get
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         clipped = 0
         for gram in _ngrams(candidate, n):
             left = left_of(gram)
@@ -306,7 +304,7 @@ def bleu(
             total += 1
         if clipped == 0 or total == 0:
             return 0.0
-        log_sum += math.log(clipped / total) / max_n
+        log_sum += math.log(clipped / total) / 4
 
     if len(candidate) < len(reference):
         bp = math.exp(1 - len(reference) / len(candidate))

@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
-from pathlib import Path
 from typing import Sequence
 
 from .corpus import CodeSnippet
@@ -81,11 +80,9 @@ class Exemplar:
 _decode_exemplar = decoder(Exemplar)
 
 
-def load_exemplars(path: str | Path | None = None) -> list[Exemplar]:
-    """Exemplars from a JSON Lines file with `code` and `story` keys;
-    defaults to the bundled fixtures."""
-    if path is None:
-        path = resources.files("restory") / "data" / "exemplars.jsonl"
+def load_exemplars() -> list[Exemplar]:
+    """The bundled exemplars, a JSON Lines file with `code` and `story` keys."""
+    path = resources.files("restory") / "data" / "exemplars.jsonl"
     return [ex for _, ex in read_jsonl(path, _decode_exemplar)]
 
 

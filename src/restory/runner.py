@@ -11,6 +11,7 @@ so partial files are valid prefixes and warm-cache reruns are byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -128,6 +129,8 @@ class GenerationRecord:
                     f"with {GREEDY_METRIC} f1"
                 )
         stratum_for_nloc(self.nloc)
+        if not 0.0 <= self.cost_usd < math.inf:
+            raise DataError(f"cost_usd must be finite and >= 0, got {self.cost_usd}")
 
     def to_json(self) -> str:
         return dumps({

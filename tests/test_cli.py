@@ -614,6 +614,12 @@ _BAD_RESULT_LINES = {
                            "bad record on line 2: 'int' object is not subscriptable"),
     "bool-cost": (lambda rec: {**rec, "cost_usd": True},
                   "bad record on line 2: cost_usd True is not a number"),
+    "negative-cost": (lambda rec: {**rec, "cost_usd": -1.0},
+                      "bad record on line 2: cost_usd must be finite and >= 0, got -1.0"),
+    "infinite-cost": (lambda rec: {**rec, "cost_usd": math.inf},
+                      "bad record on line 2: cost_usd must be finite and >= 0, got inf"),
+    "nan-cost": (lambda rec: {**rec, "cost_usd": math.nan},
+                 "bad record on line 2: cost_usd must be finite and >= 0, got nan"),
     "lone-surrogate-story": (lambda rec: {**rec, "candidate_story": "ab\ud800"},
                              "bad record on line 2: candidate_story has no UTF-8 form: "
                              "a lone surrogate at index 2"),

@@ -5,16 +5,20 @@ import gc
 import json
 import logging
 import os
+import shutil
 import socket
 import sys
+import tempfile
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from restory.corpus import CodeSnippet
 from restory.errors import DataError
@@ -27,6 +31,7 @@ from restory.gateway import (
     Ledger,
     ModelSpec,
     ProviderRejectedError,
+    ProviderResponse,
     StaticProvider,
     TransientExhaustedError,
     TransientProviderError,
@@ -262,34 +267,104 @@ def test_a_failed_call_leaves_its_key_to_the_next_waiting_miss(tmp_path):
     completed = [r for r in results if r not in failed]
     assert sorted(r.cached for r in completed) == [False, True, True]
     assert ledger_cost(tmp_path / "cache" / "ledger.csv") == gateway.spent_usd > 0
-    assert gateway._inflight == {}
+    assert gateway._claimed == set()
 
 
-def test_a_miss_that_claims_its_key_after_the_call_settled_reads_its_entry(tmp_path):
-    provider = CountingProvider()
-    gateway = _gateway(provider, tmp_path)
-    load, probed, settled = gateway._cache_load, threading.Event(), threading.Event()
+class WatchedCondition(threading.Condition):
+    """A gateway's admission condition that sets `blocked` when a call waits
+    on it, and calls `after_notify` once a call that woke the waiters has
+    left its critical section."""
 
-    def late_probe(key):
-        entry = load(key)
-        if threading.current_thread() is late and not probed.is_set():
-            probed.set()  # a miss; the key's call settles before this one claims it
-            settled.wait(timeout=10)
-        return entry
+    def __init__(self, after_notify=lambda: None):
+        super().__init__()
+        self.blocked = threading.Event()
+        self.after_notify = after_notify
+        self._notified = False  # set and cleared with the lock held
 
-    gateway._cache_load = late_probe
-    results = []
-    late = threading.Thread(target=lambda: results.append(gateway.complete("p")))
-    late.start()
-    try:
-        assert probed.wait(timeout=10)
-        first = gateway.complete("p")
-    finally:
-        settled.set()
-    late.join(timeout=10)
-    assert not late.is_alive()
+    def wait(self, timeout=None):
+        self.blocked.set()
+        return super().wait(timeout)
+
+    def notify_all(self):
+        super().notify_all()
+        self._notified = True
+
+    def __exit__(self, *exc_info):
+        notified, self._notified = self._notified, False
+        super().__exit__(*exc_info)
+        if notified:
+            self.after_notify()
+
+
+def _first_and_waiter(gateway, provider, prompt: str):
+    """Two completions of `prompt`: the first held in `provider` until the
+    second waits on the gateway's condition, then both let through. Their results."""
+    gateway._admission = watched = WatchedCondition()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            first = pool.submit(gateway.complete, prompt)
+            wait_until(lambda: provider.in_flight == 1)
+            waiter = pool.submit(gateway.complete, prompt)
+            assert watched.blocked.wait(timeout=10)
+        finally:
+            provider.release()
+        return first.result(timeout=10), waiter.result(timeout=10)
+
+
+def test_a_call_that_waits_on_a_claimed_key_reads_the_stored_entry(tmp_path):
+    provider = HeldProvider(CountingProvider())
+    gateway = _gateway(provider, tmp_path, concurrency=2)  # a free permit: it waits on the key
+    first, waiter = _first_and_waiter(gateway, provider, "p")
     assert provider.calls == 1
-    assert first.cached is False and [r.cached for r in results] == [True]
+    assert first.cached is False and waiter.cached is True
+    assert (waiter.text, waiter.cost_usd) == (first.text, first.cost_usd)
+    gateway.close()
+    with open(tmp_path / "cache" / "ledger.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["cached"], float(row["cost_usd"])) for row in rows] == [
+        ("false", first.cost_usd), ("true", 0.0)]
+
+
+def test_every_completion_opens_its_cache_entry_once(tmp_path):
+    provider = HeldProvider(CountingProvider())
+    gateway = _gateway(provider, tmp_path, concurrency=2)
+    probes = []
+    load = gateway._cache_load
+    gateway._cache_load = lambda key: probes.append(key) or load(key)
+
+    def probes_of(complete) -> int:
+        probes.clear()
+        complete()
+        return len(probes)
+
+    # a cold miss, and a waiter on its key while its call is in flight
+    assert probes_of(lambda: _first_and_waiter(gateway, provider, "p")) == 2
+    assert probes_of(lambda: gateway.complete("p")) == 1  # a hit
+    Path(gateway._cache_path(gateway._cache_key("p"))).write_text('{"trunc', encoding="utf-8")
+    assert probes_of(lambda: gateway.complete("p")) == 1  # a damaged entry
+    assert provider.calls == 2
+
+
+def test_permits_bound_the_calls_in_flight_under_frequent_thread_switches(tmp_path):
+    provider = HeldProvider(SlowProvider(0.001))
+    provider.release()
+    gateway = _gateway(provider, tmp_path, concurrency=2)
+    prompts = [f"prompt {i}" for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(gateway.complete, prompts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert provider.peak <= 2 and provider.calls == len(prompts)
+    assert not any(r.cached for r in results)
+    gateway.close()
+    with open(tmp_path / "cache" / "ledger.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert gateway.provider_calls == sum(row["cached"] == "false" for row in rows)
+    assert gateway.spent_usd == pytest.approx(sum(float(row["cost_usd"]) for row in rows),
+                                              rel=1e-12)
 
 
 def test_many_threads_on_few_keys_make_one_call_per_key(tmp_path):
@@ -305,7 +380,7 @@ def test_many_threads_on_few_keys_make_one_call_per_key(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert provider.calls == 50  # a second call of a key would be a lost claim
-    assert sum(not r.cached for r in results) == 50 and gateway._inflight == {}
+    assert sum(not r.cached for r in results) == 50 and gateway._claimed == set()
     gateway.close()
     assert len(_ledger_lines(tmp_path / "cache" / "ledger.csv")) == 1 + len(prompts)
 
@@ -574,26 +649,6 @@ def test_budget_precheck_blocks_next_call(tmp_path):
     assert provider.calls == 1  # second prompt never reached the provider
 
 
-class WatchedPermits(threading.BoundedSemaphore):
-    """A gateway's permits that set `blocked` when a call has to wait for one
-    and call `after_release` when a call gives its permit back."""
-
-    def __init__(self, value: int, after_release):
-        super().__init__(value)
-        self.blocked = threading.Event()
-        self.after_release = after_release
-
-    def __enter__(self):
-        if not self.acquire(blocking=False):
-            self.blocked.set()
-            self.acquire()
-        return True
-
-    def __exit__(self, *exc_info):
-        self.release()
-        self.after_release()
-
-
 def test_a_call_that_waited_for_the_permit_rechecks_the_budget(tmp_path):
     provider = HeldProvider(CountingProvider("tok " * 4000))
     gateway = _gateway(provider, tmp_path, budget_usd=1e-9, concurrency=1)
@@ -605,7 +660,7 @@ def test_a_call_that_waited_for_the_permit_rechecks_the_budget(tmp_path):
         if threading.current_thread() is first:
             wait_until(lambda: "p2" in refused or provider.calls == 2)
 
-    gateway._permits = WatchedPermits(1, first_call_pauses)
+    gateway._admission = WatchedCondition(first_call_pauses)
 
     def call(prompt):
         try:
@@ -619,7 +674,7 @@ def test_a_call_that_waited_for_the_permit_rechecks_the_budget(tmp_path):
         first.start()
         wait_until(lambda: provider.in_flight == 1)
         second.start()
-        assert gateway._permits.blocked.wait(timeout=10)
+        assert gateway._admission.blocked.wait(timeout=10)
     finally:
         provider.release()  # the first call crosses the budget
     first.join(timeout=10)
@@ -639,6 +694,137 @@ def test_a_gateway_writes_nothing_before_its_first_completion(tmp_path):
     cache = tmp_path / "cache"
     Gateway(CountingProvider(), MODEL, cache_dir=cache).close()
     assert not cache.exists()
+
+
+# ---------------------------------------------------------------------------
+# sequential model
+
+
+MODEL_RETRIES = 2
+MODEL_PROMPTS = ("p0", "p1", "p2", "p3")
+# What each provider call of one `complete` does: raise the error, or answer (None).
+OUTCOMES = {
+    "ok": lambda: [None],
+    "transient-then-ok": lambda: [TransientProviderError("synthetic"), None],
+    "transient-exhausted": lambda: [TransientProviderError("synthetic")
+                                    for _ in range(MODEL_RETRIES + 1)],
+    "rejected": lambda: [ProviderRejectedError("synthetic")],
+}
+
+
+class ScriptedProvider:
+    """Takes each call's outcome from the front of `script`. Its nth answer is
+    `story n` at 100 input and 10 * n output tokens, so that every paid call
+    has a text and a cost of its own."""
+
+    def __init__(self):
+        self.script = []
+        self.answers = 0
+
+    def generate(self, model_id: str, prompt_text: str, config: GenerationConfig):
+        failure = self.script.pop(0)
+        if failure is not None:
+            raise failure
+        self.answers += 1
+        return ProviderResponse(f"story {self.answers}", 100, 10 * self.answers)
+
+
+class GatewayModel(RuleBasedStateMachine):
+    """A gateway checked against a sequential model of its cache and spend:
+    the text each prompt's entry holds, the entries that are damaged, and
+    the cost of every paid call, in call order, across every gateway opened
+    on one cache dir."""
+
+    def __init__(self):
+        super().__init__()
+        self.cache_dir = Path(tempfile.mkdtemp(prefix="gateway-model-"))
+        self.provider = ScriptedProvider()
+        self.warnings = []
+        self.handler = logging.Handler(logging.WARNING)
+        self.handler.emit = self.warnings.append
+        logging.getLogger("restory.gateway").addHandler(self.handler)
+        self.gateway = self._open()
+        self.stored: dict[str, tuple] = {}  # prompt -> its entry's text and cost
+        self.damaged: set[str] = set()
+        self.settled = 0.0
+        self.closed_spend = 0.0  # `spent_usd` of the gateways closed so far
+        self.paid = 0
+
+    def _open(self) -> Gateway:
+        return Gateway(self.provider, MODEL, cache_dir=self.cache_dir,
+                       retries=MODEL_RETRIES, sleep=NOSLEEP)
+
+    def _entry(self, prompt: str) -> Path:
+        return Path(self.gateway._cache_path(self.gateway._cache_key(prompt)))
+
+    @rule(prompt=st.sampled_from(MODEL_PROMPTS), outcome=st.sampled_from(sorted(OUTCOMES)))
+    def complete(self, prompt, outcome):
+        script = OUTCOMES[outcome]()
+        self.provider.script = list(script)
+        calls_before, warned = self.gateway.provider_calls, len(self.warnings)
+        try:
+            result = self.gateway.complete(prompt)
+        except (TransientExhaustedError, ProviderRejectedError):
+            result = None
+        calls = len(script) - len(self.provider.script)
+        assert self.gateway.provider_calls - calls_before == calls
+        assert len(self.warnings) - warned == (prompt in self.damaged)  # probed once
+        if prompt in self.stored:
+            assert calls == 0 and result.cached is True  # its ledger row costs 0
+            assert (result.text, result.cost_usd) == self.stored[prompt]
+            return
+        assert calls == len(script)
+        if outcome in ("transient-exhausted", "rejected"):
+            assert result is None
+            return
+        assert result.cached is False and result.retries == len(script) - 1
+        assert result.text == f"story {self.provider.answers}"
+        assert result.cost_usd == estimate_cost(100, 10 * self.provider.answers, MODEL)
+        self.stored[prompt] = result.text, result.cost_usd
+        self.damaged.discard(prompt)
+        self.settled += result.cost_usd
+        self.paid += 1
+
+    @rule(prompt=st.sampled_from(MODEL_PROMPTS))
+    def damage_entry(self, prompt):
+        self.cache_dir.mkdir(exist_ok=True)
+        self._entry(prompt).write_text('{"text": "trunc', encoding="utf-8")
+        self.stored.pop(prompt, None)
+        self.damaged.add(prompt)
+
+    @rule(prompt=st.sampled_from(MODEL_PROMPTS))
+    def delete_entry(self, prompt):
+        self._entry(prompt).unlink(missing_ok=True)
+        self.stored.pop(prompt, None)
+        self.damaged.discard(prompt)
+
+    @rule()
+    def reopen(self):
+        self.gateway.close()
+        self.closed_spend += self.gateway.spent_usd
+        self.gateway = self._open()
+
+    @invariant()
+    def the_ledger_holds_one_paid_row_per_call_and_sums_the_settled_spend(self):
+        ledger = self.cache_dir / "ledger.csv"
+        rows = []
+        if ledger.exists():
+            with open(ledger, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+        assert sum(float(row["cost_usd"]) for row in rows) == self.settled
+        assert self.closed_spend + self.gateway.spent_usd == pytest.approx(self.settled,
+                                                                           rel=1e-12)
+        assert sum(row["cached"] == "false" for row in rows) == self.paid
+        assert all(float(row["cost_usd"]) == 0.0 for row in rows if row["cached"] == "true")
+
+    def teardown(self):
+        self.gateway.close()
+        logging.getLogger("restory.gateway").removeHandler(self.handler)
+        shutil.rmtree(self.cache_dir)
+
+
+TestGatewayModel = GatewayModel.TestCase
+TestGatewayModel.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,6 @@ def test_bleu_empty_inputs_warn_and_return_zero():
         assert bleu(["a"], []) == 0.0
 
 
-def test_bleu_rejects_bad_max_n():
-    with pytest.raises(MetricInputError):
-        bleu(["a"], ["a"], max_n=0)
-
-
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=10)
 
 
@@ -166,16 +161,16 @@ def _token_pairs(size):
 
 
 @settings(max_examples=300)
-@given(st.sampled_from([1, 2, 4, 30]).flatmap(_token_pairs), st.integers(1, 6), st.booleans())
-def test_bleu_matches_oracle(pair, max_n, smoothing):
+@given(st.sampled_from([1, 2, 4, 30]).flatmap(_token_pairs), st.booleans())
+def test_bleu_matches_oracle(pair, smoothing):
     candidate, reference = pair
     if candidate and reference:
-        got = bleu(candidate, reference, max_n=max_n, smoothing=smoothing)
+        got = bleu(candidate, reference, smoothing=smoothing)
     else:
         with pytest.warns(RuntimeWarning):
-            got = bleu(candidate, reference, max_n=max_n, smoothing=smoothing)
-    assert got == oracle_bleu_counted(candidate, reference, max_n, smoothing)
-    want = oracle_bleu(candidate, reference, max_n, smoothing)
+            got = bleu(candidate, reference, smoothing=smoothing)
+    assert got == oracle_bleu_counted(candidate, reference, 4, smoothing)
+    want = oracle_bleu(candidate, reference, 4, smoothing)
     assert abs(got - want) <= 1e-9
     assert 0.0 <= got <= 1.0
 

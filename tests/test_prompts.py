@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from restory import prompts
 from restory.corpus import CodeSnippet
 from restory.errors import DataError
+from restory.jsonl import read_jsonl
 from restory.prompts import (
     PROMPT_VARIANTS,
     SCOT_PRIMITIVES,
@@ -284,7 +285,7 @@ def test_mistyped_exemplar_names_file_and_line(tmp_path):
     path.write_text('{"code": "int x;", "story": "As a u, I want g."}\n'
                     '{"code": 5, "story": "As a u, I want g."}\n', encoding="utf-8")
     with pytest.raises(DataError) as exc_info:
-        load_exemplars(path)
+        list(read_jsonl(path, prompts._decode_exemplar))
     assert str(exc_info.value) == f"{path}: bad record on line 2: code 5 is not a string"
 
 
