@@ -219,7 +219,11 @@ def _cmd_profile(args) -> int:
     root = Path(args.directory)
     if not root.is_dir():
         raise DataError(f"not a directory: {root}")
-    paths = sorted(root.glob(args.glob))
+    try:
+        paths = sorted(root.glob(args.glob))
+    except (ValueError, NotImplementedError, IndexError) as exc:  # IndexError: "." before 3.13
+        raise UsageError(f"bad --glob pattern {args.glob!r}: give a non-empty pattern "
+                         "relative to the directory, such as '*.cpp'") from exc
     if not paths:
         raise DataError(f"no files match {args.glob!r} under {root}")
     rows, warnings = corpus.profile_files(paths)

@@ -26,30 +26,6 @@ STRATUM_COUNT = 35
 MAX_NLOC = STRATUM_WIDTH * STRATUM_COUNT  # 350
 
 
-class UnsupportedLanguageError(DataError):
-    pass
-
-
-class UnterminatedCommentError(DataError):
-    def __init__(self, line: int):
-        super().__init__(f"unterminated block comment starting at line {line}")
-        self.line = line
-
-
-class NoCodeError(DataError):
-    pass
-
-
-class NlocRangeError(DataError):
-    pass
-
-
-class DeficientStrataError(DataError):
-    def __init__(self, labels: Sequence[str]):
-        super().__init__("deficient strata: " + ", ".join(labels))
-        self.labels = tuple(labels)
-
-
 # The lexemes that hide code, matched leftmost first as the text is scanned:
 # `//` comments, `/* */` comments (group 1 is set only when the comment is
 # closed) and `"`/`'` literals. In a literal a backslash escapes any
@@ -76,7 +52,8 @@ def _blank_lexeme(match: re.Match) -> str:
     if text[1] == "/":
         return ""
     if match.group(1) is None:
-        raise UnterminatedCommentError(match.string.count("\n", 0, match.start()) + 1)
+        line = match.string.count("\n", 0, match.start()) + 1
+        raise DataError(f"unterminated block comment starting at line {line}")
     return "\n" * text.count("\n")
 
 
@@ -97,13 +74,13 @@ def count_nloc(source: str) -> int:
       other quote are inert inside a literal; a digit separator such as
       `1'000` opens a literal.
 
-    Raises NoCodeError when no line holds code, and UnterminatedCommentError
-    (with the start line) for an unclosed block comment.
+    Raises DataError when no line holds code, and for an unclosed block
+    comment, naming the line it starts on.
     """
     blanked = _LEXEME.sub(_blank_lexeme, source)
     count = sum(1 for line in blanked.split("\n") if line and not line.isspace())
     if count == 0:
-        raise NoCodeError("no code lines")
+        raise DataError("no code lines")
     return count
 
 
@@ -141,7 +118,7 @@ GREEDY_METRIC = "greedy-embedding"
 def stratum_for_nloc(nloc: int) -> int:
     """Map an NLOC value to its stratum index, rejecting values outside [1, 350]."""
     if not 1 <= nloc <= MAX_NLOC:
-        raise NlocRangeError(f"nloc {nloc} outside [1, {MAX_NLOC}]")
+        raise DataError(f"nloc {nloc} outside [1, {MAX_NLOC}]")
     return (nloc - 1) // STRATUM_WIDTH
 
 
@@ -157,7 +134,7 @@ class CodeSnippet:
         if not self.id:
             raise DataError("snippet id must be non-empty")
         if self.language_tag not in SUPPORTED_LANGUAGES:
-            raise UnsupportedLanguageError(f"unsupported language tag: {self.language_tag!r}")
+            raise DataError(f"unsupported language tag: {self.language_tag!r}")
         # Each "\n" ends a splitlines() line, so only a count past them needs the list.
         if self.nloc > self.source_text.count("\n"):
             physical = len(self.source_text.splitlines())
@@ -190,9 +167,8 @@ def sample_stratified(
 
     Selection is a seeded shuffle within each stratum (members ordered by id
     first, so the draw is independent of input order) followed by a prefix.
-    Populated strata with fewer than `per_stratum` members raise
-    DeficientStrataError naming the shortfalls; strata with no members at
-    all are skipped.
+    Populated strata with fewer than `per_stratum` members raise a DataError
+    naming their labels; strata with no members at all are skipped.
     """
     if per_stratum < 1:
         raise DataError("per_stratum must be >= 1")
@@ -204,7 +180,7 @@ def sample_stratified(
         STRATA[idx].label for idx in sorted(groups) if len(groups[idx]) < per_stratum
     ]
     if deficient:
-        raise DeficientStrataError(deficient)
+        raise DataError("deficient strata: " + ", ".join(deficient))
 
     rng = random.Random(seed)
     out: list[CodeSnippet] = []

@@ -8,8 +8,8 @@ append-only cost ledger, and an optional per-invocation budget ceiling.
 A provider is any object with
     generate(model_id: str, prompt_text: str, config: GenerationConfig)
         -> ProviderResponse
-raising TransientProviderError for retryable failures and
-ProviderRejectedError for permanent ones. Credentials travel via
+raising TransientProviderError to get a retry; any other GatewayError is a
+permanent failure, recorded for that entry. Credentials travel via
 environment variables only.
 """
 
@@ -40,18 +40,6 @@ BACKOFF_BASE_S = 1.0  # the first retry's wait; each later one doubles, plus up 
 
 class TransientProviderError(GatewayError):
     """Retryable failure: timeouts, connection errors, 429/5xx statuses."""
-
-
-class ProviderRejectedError(GatewayError):
-    """Non-retryable provider failure (bad request, auth, ...)."""
-
-
-class TransientExhaustedError(GatewayError):
-    """All retries spent on transient failures."""
-
-
-class UnknownModelError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,7 +93,7 @@ def model_spec(model_id: str) -> ModelSpec:
     try:
         rates = MODEL_RATES[model_id]
     except KeyError:
-        raise UnknownModelError(
+        raise DataError(
             f"no built-in rates for model {model_id!r}; supply rates explicitly"
         ) from None
     return ModelSpec(model_id, rates[0], rates[1])
@@ -209,34 +197,35 @@ class HttpProvider:
         except (OSError, http.client.HTTPException) as exc:
             raise TransientProviderError(f"request failed: {exc}") from exc
         except ValueError as exc:  # a config, URL or header value that cannot be sent
-            raise ProviderRejectedError(f"request not sent: {exc}") from exc
+            raise GatewayError(f"request not sent: {exc}") from exc
         if status in self.RETRYABLE_STATUSES:
             raise TransientProviderError(f"provider returned {status}")
         if status >= 400:
             detail = raw.decode("utf-8", "replace")[:200]
-            raise ProviderRejectedError(f"provider rejected request: {status} {detail}")
+            raise GatewayError(f"provider rejected request: {status} {detail}")
         if not 200 <= status < 300:
-            raise ProviderRejectedError(
+            raise GatewayError(
                 f"provider answered {status} (location {location!r}); redirects are not followed"
             )
         try:
             body = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
-            raise ProviderRejectedError(f"malformed provider response: {exc}") from exc
+            raise GatewayError(f"malformed provider response: {exc}") from exc
         if not isinstance(body, dict):
-            raise ProviderRejectedError(
+            raise GatewayError(
                 f"malformed provider response: expected a JSON object, got {type(body).__name__}"
             )
         text = body["text"] if "text" in body else body.get("output")
         if not isinstance(text, str):
-            raise ProviderRejectedError(
+            raise GatewayError(
                 f"malformed provider response: text is {type(text).__name__}, not a string"
             )
         usage = {name: body.get(name) for name in ("input_tokens", "output_tokens")}
         for name, count in usage.items():
-            if count is not None and (type(count) is not int or count < 0):
-                raise ProviderRejectedError(
-                    f"malformed provider response: {name} is {count!r}, not a non-negative int"
+            if count is not None and (type(count) is not int or not 0 <= count < 2**63):
+                raise GatewayError(
+                    f"malformed provider response: {name} is {count!r}, "
+                    "not a non-negative int below 2**63"
                 )
         return ProviderResponse(text=text, **usage)
 
@@ -278,7 +267,7 @@ class EchoProvider:
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
         text = self._completions.get(prompted_code(prompt_text))
         if text is None:
-            raise ProviderRejectedError("no canned completion for the prompted code")
+            raise GatewayError("no canned completion for the prompted code")
         return ProviderResponse(text=text)
 
 
@@ -488,7 +477,7 @@ class Gateway:
                     break
                 except TransientProviderError as exc:
                     if attempt >= self.retries:
-                        raise TransientExhaustedError(
+                        raise GatewayError(
                             f"provider still failing after {self.retries} retries: {exc}"
                         ) from exc
                     delay = BACKOFF_BASE_S * (2 ** attempt) * (1 + 0.1 * self._rng.random())
@@ -498,7 +487,7 @@ class Gateway:
             try:
                 response.text.encode("utf-8")
             except UnicodeEncodeError as exc:  # cache and results files are UTF-8
-                raise ProviderRejectedError(
+                raise GatewayError(
                     f"provider reply has no UTF-8 form: a lone surrogate at index {exc.start}"
                 ) from None
 

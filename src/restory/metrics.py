@@ -23,10 +23,6 @@ from typing import Sequence
 from .errors import DataError
 
 
-class MetricInputError(DataError):
-    pass
-
-
 _PUNCT = frozenset(string.punctuation)
 
 
@@ -217,12 +213,10 @@ class ScoreTriple:
         p, r, f1 = self.precision, self.recall, self.f1
         for name, v in (("precision", p), ("recall", r), ("f1", f1)):
             if not 0.0 <= v <= 1.0:
-                raise MetricInputError(f"{name} {v} outside [0, 1]")
+                raise DataError(f"{name} {v} outside [0, 1]")
         expected = _f1(p, r)
         if abs(f1 - expected) > 1e-9:
-            raise MetricInputError(
-                f"f1 {f1} inconsistent with precision/recall (expected {expected})"
-            )
+            raise DataError(f"f1 {f1} inconsistent with precision/recall (expected {expected})")
 
     @classmethod
     def from_pr(cls, precision: float, recall: float) -> "ScoreTriple":
@@ -246,7 +240,7 @@ def classify_fidelity(f1: float) -> FidelityBand:
     between (the (0.65, 0.66) sliver closes the gap on the Adequate side).
     """
     if not 0.0 <= f1 <= 1.0:
-        raise MetricInputError(f"f1 {f1} outside [0, 1]")
+        raise DataError(f"f1 {f1} outside [0, 1]")
     if f1 >= 0.9:
         return FidelityBand.FAITHFUL
     if f1 > 0.65:
@@ -372,15 +366,13 @@ class EmbeddedText:
         vecs = np.asarray(self.vectors, dtype=np.float64)
         object.__setattr__(self, "vectors", vecs)
         if vecs.ndim != 2:
-            raise MetricInputError(f"vectors must be 2-D, got shape {vecs.shape}")
+            raise DataError(f"vectors must be 2-D, got shape {vecs.shape}")
         if len(self.tokens) != vecs.shape[0]:
-            raise MetricInputError(
-                f"{len(self.tokens)} tokens but {vecs.shape[0]} vectors"
-            )
+            raise DataError(f"{len(self.tokens)} tokens but {vecs.shape[0]} vectors")
         if vecs.shape[0]:
             norms = np.linalg.norm(vecs, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise MetricInputError("vectors must be unit Euclidean norm")
+                raise DataError("vectors must be unit Euclidean norm")
 
     @classmethod
     def _trusted(cls, tokens: tuple[str, ...], vectors: np.ndarray) -> "EmbeddedText":
@@ -417,11 +409,9 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
     token's best match against the reference, recall the reverse. Negative
     cosines floor at zero so scores stay in [0, 1]."""
     if len(candidate) == 0 or len(reference) == 0:
-        raise MetricInputError("greedy embedding score needs non-empty inputs")
+        raise DataError("greedy embedding score needs non-empty inputs")
     if candidate.dim != reference.dim:
-        raise MetricInputError(
-            f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}"
-        )
+        raise DataError(f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}")
     add_reduce, clip = _numpy_kernels()
     sim = candidate.vectors @ reference.vectors.T
     # The steps of np.mean(np.clip(best, 0.0, 1.0)), so the same floats: the
@@ -452,7 +442,7 @@ class HashEmbedder:
 
     def __init__(self, dim: int = 64, salt: int = 0):
         if dim < 1:
-            raise MetricInputError(f"dim must be >= 1, got {dim}")
+            raise DataError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.salt = salt
         self.provider_id = f"synthetic-hash-{dim}" + (f"-s{salt}" if salt else "")
@@ -471,7 +461,7 @@ class HashEmbedder:
         vec = rng.standard_normal(self.dim)
         vec /= np.linalg.norm(vec)
         if not abs(np.linalg.norm(vec) - 1.0) <= 1e-6:
-            raise MetricInputError(f"vector of token {token!r} is not unit norm")
+            raise DataError(f"vector of token {token!r} is not unit norm")
         return vec
 
     def _add(self, token: str) -> int:

@@ -42,18 +42,6 @@ PROMPT_VARIANTS = {
 SCOT_PRIMITIVES = ("sequence", "branch", "loop")
 
 
-class TemplateError(DataError):
-    pass
-
-
-class ExemplarCountError(DataError):
-    pass
-
-
-class EmptySnippetError(DataError):
-    pass
-
-
 @cache  # bundled templates are immutable; read each file once per process
 def _data_text(name: str) -> str:
     return (resources.files("restory") / "data" / "templates" / name).read_text(encoding="utf-8")
@@ -101,7 +89,7 @@ class PromptConfig:
             raise DataError("directive must be non-empty")
         fewest, most = SHOT_MODES[self.shots]
         if not fewest <= len(self.exemplars) <= most:
-            raise ExemplarCountError(
+            raise DataError(
                 f"exemplar count mismatch: a {self.shots!r} prompt takes "
                 f"{fewest if fewest == most else f'at least {fewest}'}, got {len(self.exemplars)}"
             )
@@ -136,7 +124,7 @@ def default_prompt_config(variant: str, few_k: int = 3) -> PromptConfig:
     shots, scot = PROMPT_VARIANTS[variant]
     exemplars = tuple(load_exemplars())[: few_k if shots == "few" else SHOT_MODES[shots][0]]
     if shots == "few" and len(exemplars) < few_k:
-        raise ExemplarCountError(f"need {few_k} exemplars but only {len(exemplars)} bundled")
+        raise DataError(f"need {few_k} exemplars but only {len(exemplars)} bundled")
     return PromptConfig(
         shots=shots,
         scot=scot,
@@ -173,15 +161,15 @@ def load_layout() -> str:
     found = set(_PLACEHOLDER_RE.findall(text))
     unknown = found - _KNOWN_PLACEHOLDERS
     if unknown:
-        raise TemplateError("unknown placeholders: " + ", ".join(sorted(unknown)))
+        raise DataError("unknown placeholders: " + ", ".join(sorted(unknown)))
     missing = _KNOWN_PLACEHOLDERS - found
     if missing:
-        raise TemplateError("template missing placeholders: " + ", ".join(sorted(missing)))
+        raise DataError("template missing placeholders: " + ", ".join(sorted(missing)))
     if not text.startswith("{{directive}}"):
-        raise TemplateError("template must start with {{directive}}")
+        raise DataError("template must start with {{directive}}")
     # `prompted_code` reads the last block, and `_frame` takes all before it.
     if not text.rstrip().endswith("{{code}}") or text.count("{{code}}") > 1:
-        raise TemplateError("template must end with {{code}} and hold no other")
+        raise DataError("template must end with {{code}} and hold no other")
     return text
 
 
@@ -192,7 +180,7 @@ def load_scot_block() -> str:
     lowered = text.lower()
     missing = [p for p in SCOT_PRIMITIVES if p not in lowered]
     if missing:
-        raise TemplateError("reasoning block missing primitives: " + ", ".join(missing))
+        raise DataError("reasoning block missing primitives: " + ", ".join(missing))
     return text.strip()
 
 
@@ -235,7 +223,7 @@ def _frame(config: PromptConfig, language_tag: str) -> str:
     frame = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], head)
     frame = _BLANK_RUN_RE.sub("\n\n", frame).lstrip()
     if not frame.startswith(config.directive):
-        raise TemplateError("rendered prompt does not begin with the directive")
+        raise DataError("rendered prompt does not begin with the directive")
     return frame
 
 
@@ -247,7 +235,7 @@ def render_prompt(config: PromptConfig, snippet: CodeSnippet,
     if exemplars is not None:
         config = replace(config, exemplars=tuple(exemplars))
     if not snippet.source_text.strip():
-        raise EmptySnippetError(f"snippet {snippet.id} has empty source")
+        raise DataError(f"snippet {snippet.id} has empty source")
     frame = config._frames.get(snippet.language_tag)
     if frame is None:
         frame = config._frames[snippet.language_tag] = _frame(config, snippet.language_tag)

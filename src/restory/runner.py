@@ -44,14 +44,6 @@ RANGE_OF_INTEREST = "101-200"
 REPORT_COLUMNS = ("band", "n", "precision", "recall", "f1", "scot", "prompt", "model", "failures")
 
 
-class AnnotationError(DataError):
-    pass
-
-
-class EmptyCategoryError(DataError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 
@@ -231,6 +223,9 @@ def run_experiment(
     if embedder is None:
         embedder = HashEmbedder()
     metric_names = tuple(metric_names)
+    for name in metric_names:  # before the results file is opened or a call is paid for
+        if name not in METRICS:
+            raise DataError(f"unknown metric {name!r}")
     if GREEDY_METRIC not in metric_names:
         metric_names = (GREEDY_METRIC,) + metric_names
 
@@ -473,7 +468,7 @@ def calibration_experiment(
     counts = Counter(pair.category for pair in pairs)
     empty = [c for c in CALIBRATION_CATEGORIES if not counts[c]]
     if empty:
-        raise EmptyCategoryError("empty calibration categories: " + ", ".join(empty))
+        raise DataError("empty calibration categories: " + ", ".join(empty))
 
     # Every metric of a pair from one score_pair call; each (metric, category)
     # total still adds its F1 values in file order.
@@ -508,12 +503,12 @@ class AnnotationSet:
 
     def __post_init__(self):
         if not (len(self.item_ids) == len(self.labels_a) == len(self.labels_b)):
-            raise AnnotationError(
+            raise DataError(
                 f"length mismatch: {len(self.item_ids)} items, "
                 f"{len(self.labels_a)} vs {len(self.labels_b)} labels"
             )
         if len(self.item_ids) < 1:
-            raise AnnotationError("need at least one annotated item")
+            raise DataError("need at least one annotated item")
 
 
 def cohen_kappa(annotations: AnnotationSet) -> float:

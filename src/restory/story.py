@@ -8,10 +8,6 @@ from dataclasses import dataclass, field
 from .errors import DataError
 
 
-class StoryParseError(DataError):
-    pass
-
-
 # Role runs to the comma directly before "I want"; goal and benefit are
 # lazy and stop at a sentence-ending period, a newline, or end of text. Role
 # and goal start with a non-space, so that text with a blank one is no story.
@@ -53,10 +49,10 @@ def _story_from_match(m: re.Match, raw_text: str) -> UserStory:
 def parse_story(text: str) -> UserStory:
     """Parse the first complete story in `text`; the input is kept verbatim
     in raw_text. A missing benefit clause is flagged as a warning; text
-    without any "As a ... I want" clause raises StoryParseError."""
+    without any "As a ... I want" clause raises DataError."""
     m = _STORY_RE.search(text)
     if m is None:
-        raise StoryParseError("no user story clause found")
+        raise DataError("no user story clause found")
     return _story_from_match(m, text)
 
 

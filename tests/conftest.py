@@ -27,12 +27,8 @@ def pytest_runtest_makereport(item, call):
         label = item.name.removeprefix("test_").replace("_", " ")
         status = "PASS" if report.passed else "FAIL"
         print(f"\nACCEPTANCE {status}: {label}")
-from restory.gateway import (
-    GenerationConfig,
-    ProviderRejectedError,
-    ProviderResponse,
-    TransientProviderError,
-)
+from restory.errors import GatewayError
+from restory.gateway import GenerationConfig, ProviderResponse, TransientProviderError
 
 
 _open_gateways: list = []
@@ -151,7 +147,7 @@ class AlwaysFailingProvider:
         self.calls += 1
         if self.transient:
             raise TransientProviderError("synthetic outage")
-        raise ProviderRejectedError("synthetic rejection")
+        raise GatewayError("synthetic rejection")
 
 
 class HeldProvider:

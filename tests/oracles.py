@@ -32,8 +32,8 @@ from functools import cache, lru_cache
 from typing import Sequence
 
 from restory import prompts
-from restory.corpus import NoCodeError, UnterminatedCommentError
-from restory.metrics import EmbeddedText, FidelityBand, MetricInputError, ScoreTriple, tokenize
+from restory.errors import DataError
+from restory.metrics import EmbeddedText, FidelityBand, ScoreTriple, tokenize
 from restory.runner import FailureRecord, GenerationRecord
 
 
@@ -127,11 +127,9 @@ def oracle_greedy_embedding_score(candidate, reference):
     ufunc and reduction directly, unchanged: the reference for its exact
     floats, signed zeros included."""
     if len(candidate) == 0 or len(reference) == 0:
-        raise MetricInputError("greedy embedding score needs non-empty inputs")
+        raise DataError("greedy embedding score needs non-empty inputs")
     if candidate.dim != reference.dim:
-        raise MetricInputError(
-            f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}"
-        )
+        raise DataError(f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}")
     import numpy as np
 
     sim = candidate.vectors @ reference.vectors.T
@@ -158,7 +156,7 @@ def oracle_render_prompt(config, snippet):
     """A prompt rendered by filling every placeholder of the whole layout,
     then cutting blank-line runs and stripping the text, once per snippet."""
     if not snippet.source_text.strip():
-        raise prompts.EmptySnippetError(f"snippet {snippet.id} has empty source")
+        raise DataError(f"snippet {snippet.id} has empty source")
     substitutions = {
         "directive": config.directive,
         "story_format_hint": config.story_format_hint,
@@ -169,7 +167,7 @@ def oracle_render_prompt(config, snippet):
     text = prompts._PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], prompts.load_layout())
     text = prompts._BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
     if not text.startswith(config.directive):
-        raise prompts.TemplateError("rendered prompt does not begin with the directive")
+        raise DataError("rendered prompt does not begin with the directive")
     return prompts.RenderedPrompt(text=text, config_fingerprint=config.fingerprint)
 
 
@@ -224,7 +222,7 @@ class OneHotEmbedder:
     def __init__(self, vocabulary: Sequence[str]):
         vocab = sorted(set(vocabulary))
         if not vocab:
-            raise MetricInputError("vocabulary must be non-empty")
+            raise DataError("vocabulary must be non-empty")
         self._index = {tok: i for i, tok in enumerate(vocab)}
         self.dim = len(vocab)
         self.provider_id = f"one-hot-{self.dim}"
@@ -241,7 +239,7 @@ class OneHotEmbedder:
             try:
                 vectors[row, self._index[tok]] = 1.0
             except KeyError:
-                raise MetricInputError(f"token {tok!r} not in embedder vocabulary") from None
+                raise DataError(f"token {tok!r} not in embedder vocabulary") from None
         return EmbeddedText(tokens=tokens, vectors=vectors)
 
 
@@ -320,11 +318,11 @@ def oracle_count_nloc(source: str) -> int:
         i += 1
 
     if in_block:
-        raise UnterminatedCommentError(block_start)
+        raise DataError(f"unterminated block comment starting at line {block_start}")
     if line_has_code:
         count += 1
     if count == 0:
-        raise NoCodeError("no code lines")
+        raise DataError("no code lines")
     return count
 
 

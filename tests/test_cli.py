@@ -67,6 +67,13 @@ def test_profile_empty_directory_is_data_error(tmp_path, capsys):
     assert dispatch(["profile", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("pattern", ["", "/etc/*.cpp", "."], ids=["empty", "absolute", "dot"])
+def test_profile_bad_glob_is_a_usage_error(tmp_path, capsys, pattern):
+    (tmp_path / "a.cpp").write_text(make_cpp_source(2), encoding="utf-8")
+    assert dispatch(["profile", str(tmp_path), "--glob", pattern]) == 1
+    assert capsys.readouterr().err.startswith(f"bad --glob pattern {pattern!r}: ")
+
+
 def test_profile_skips_unlexable_files_with_warning(tmp_path, capsys):
     (tmp_path / "ok.cpp").write_text(make_cpp_source(2), encoding="utf-8")
     (tmp_path / "broken.cpp").write_text("/* never closed\n", encoding="utf-8")

@@ -8,9 +8,6 @@ from restory.corpus import (
     STRATA,
     CodeSnippet,
     DatasetRecord,
-    DeficientStrataError,
-    NoCodeError,
-    UnterminatedCommentError,
     count_nloc,
     load_dataset,
     sample_stratified,
@@ -62,19 +59,18 @@ def test_no_trailing_newline_last_line_counts():
 
 
 def test_empty_text_is_error():
-    with pytest.raises(NoCodeError, match="no code lines"):
+    with pytest.raises(DataError, match="^no code lines$"):
         count_nloc("")
 
 
 def test_only_comments_and_blanks_is_error():
-    with pytest.raises(NoCodeError):
+    with pytest.raises(DataError, match="^no code lines$"):
         count_nloc("// nothing here\n\n/* and nothing\n   here either */\n")
 
 
 def test_unterminated_block_comment_reports_start_line():
-    with pytest.raises(UnterminatedCommentError, match="line 2") as exc_info:
+    with pytest.raises(DataError, match="^unterminated block comment starting at line 2$"):
         count_nloc("int x;\n/* never closed\nint y;\n")
-    assert exc_info.value.line == 2
 
 
 def test_generated_source_has_requested_nloc():
@@ -94,9 +90,8 @@ def test_newline_cuts_off_an_unclosed_literal():
 
 
 def test_slash_star_slash_does_not_close():
-    with pytest.raises(UnterminatedCommentError) as exc_info:
+    with pytest.raises(DataError, match="^unterminated block comment starting at line 2$"):
         count_nloc("int x;\n/*/ still open\nint y;\n")
-    assert exc_info.value.line == 2
 
 
 def test_crlf_line_endings():
@@ -111,7 +106,7 @@ def test_digit_separator_opens_a_char_literal():
 
 def test_nbsp_only_line_is_blank():
     assert count_nloc("int x;\n\xa0\nint y;\n") == 2
-    with pytest.raises(NoCodeError):
+    with pytest.raises(DataError, match="^no code lines$"):
         count_nloc("\xa0\n")
 
 
@@ -157,7 +152,7 @@ def _outcome(count, source):
     try:
         return count(source)
     except DataError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
+        return type(exc), str(exc)
 
 
 # Single characters, plus the pairs that matter to the lexer so that they
@@ -291,9 +286,8 @@ def test_sampling_one_per_stratum_returns_corpus():
 
 def test_sampling_reports_deficient_strata():
     corpus = [make_snippet("a", 5), make_snippet("b", 6), make_snippet("c", 15)]
-    with pytest.raises(DeficientStrataError) as exc_info:
+    with pytest.raises(DataError, match="^deficient strata: 11-20$"):
         sample_stratified(corpus, per_stratum=2, seed=0)
-    assert exc_info.value.labels == ("11-20",)
 
 
 def test_sampling_needs_at_least_one_per_stratum():

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from restory.corpus import CodeSnippet
-from restory.errors import DataError
+from restory.errors import DataError, GatewayError
 from restory.gateway import (
     BudgetExceededError,
     EchoProvider,
@@ -30,10 +30,8 @@ from restory.gateway import (
     HttpProvider,
     Ledger,
     ModelSpec,
-    ProviderRejectedError,
     ProviderResponse,
     StaticProvider,
-    TransientExhaustedError,
     TransientProviderError,
     estimate_cost,
     model_spec,
@@ -220,7 +218,7 @@ class SlowProvider:
             number = self.calls
         time.sleep(self.delay_s)
         if number in self.rejected:
-            raise ProviderRejectedError(f"synthetic rejection of call {number}")
+            raise GatewayError(f"synthetic rejection of call {number}")
         return StaticProvider(self.text).generate(model_id, prompt_text, config)
 
 
@@ -233,7 +231,7 @@ def _complete_together(gateway, prompt: str, threads: int) -> list:
         start.wait()
         try:
             return gateway.complete(prompt)
-        except ProviderRejectedError as exc:
+        except GatewayError as exc:
             return exc
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -262,7 +260,7 @@ def test_a_failed_call_leaves_its_key_to_the_next_waiting_miss(tmp_path):
     gateway = _gateway(provider, tmp_path, concurrency=4)
     results = _complete_together(gateway, "the same prompt", 4)
     assert provider.calls == 2
-    failed = [r for r in results if isinstance(r, ProviderRejectedError)]
+    failed = [r for r in results if isinstance(r, GatewayError)]
     assert [str(exc) for exc in failed] == ["synthetic rejection of call 1"]
     completed = [r for r in results if r not in failed]
     assert sorted(r.cached for r in completed) == [False, True, True]
@@ -453,7 +451,8 @@ def test_retry_succeeds_after_two_failures(tmp_path):
 def test_retry_exhaustion_after_three_retries(tmp_path):
     provider = AlwaysFailingProvider()
     gateway = _gateway(provider, tmp_path, retries=3)
-    with pytest.raises(TransientExhaustedError, match="3 retries"):
+    with pytest.raises(GatewayError,
+                       match="^provider still failing after 3 retries: synthetic outage$"):
         gateway.complete("prompt")
     assert provider.calls == 4  # initial attempt + 3 retries
 
@@ -461,7 +460,7 @@ def test_retry_exhaustion_after_three_retries(tmp_path):
 def test_rejection_is_not_retried(tmp_path):
     provider = AlwaysFailingProvider(transient=False)
     gateway = _gateway(provider, tmp_path)
-    with pytest.raises(ProviderRejectedError):
+    with pytest.raises(GatewayError, match="^synthetic rejection$"):
         gateway.complete("prompt")
     assert provider.calls == 1
 
@@ -708,7 +707,7 @@ OUTCOMES = {
     "transient-then-ok": lambda: [TransientProviderError("synthetic"), None],
     "transient-exhausted": lambda: [TransientProviderError("synthetic")
                                     for _ in range(MODEL_RETRIES + 1)],
-    "rejected": lambda: [ProviderRejectedError("synthetic")],
+    "rejected": lambda: [GatewayError("synthetic")],
 }
 
 
@@ -764,7 +763,8 @@ class GatewayModel(RuleBasedStateMachine):
         calls_before, warned = self.gateway.provider_calls, len(self.warnings)
         try:
             result = self.gateway.complete(prompt)
-        except (TransientExhaustedError, ProviderRejectedError):
+        except GatewayError as exc:
+            assert type(exc) is GatewayError  # neither a transient error nor a budget stop
             result = None
         calls = len(script) - len(self.provider.script)
         assert self.gateway.provider_calls - calls_before == calls
@@ -852,7 +852,7 @@ def test_echo_provider_finds_any_code_as_the_prompt_shows_it(code):
 
 def test_echo_provider_rejects_unknown_code():
     provider = EchoProvider({})
-    with pytest.raises(ProviderRejectedError):
+    with pytest.raises(GatewayError, match="^no canned completion for the prompted code$"):
         provider.generate("m", "```cpp\nint x;\n```", GenerationConfig())
 
 
@@ -963,10 +963,11 @@ def test_http_provider_retryable_statuses(endpoint, status):
 
 def test_http_provider_rejects_4xx_and_malformed(endpoint):
     endpoint.answer(401, {"error": "bad key"})
-    with pytest.raises(ProviderRejectedError, match="401.*bad key"):
+    with pytest.raises(GatewayError, match="^provider rejected request: 401 .*bad key"):
         endpoint.provider().generate("m", "p", GenerationConfig())
     endpoint.answer(200, {"nope": 1})
-    with pytest.raises(ProviderRejectedError):
+    with pytest.raises(GatewayError,
+                       match="^malformed provider response: text is NoneType, not a string$"):
         endpoint.provider().generate("m", "p", GenerationConfig())
 
 
@@ -974,25 +975,26 @@ def test_http_provider_rejects_4xx_and_malformed(endpoint):
     "body",
     [["a story"], "a story", {"text": 5}, {"text": "a story", "input_tokens": "12"},
      {"text": "a story", "output_tokens": -1}, {"text": "a story", "input_tokens": True},
-     {"text": "a story", "output_tokens": 3.0}, b"not json", b'{"text": "caf\xe9"}'],
+     {"text": "a story", "output_tokens": 3.0}, b"not json", b'{"text": "caf\xe9"}',
+     {"text": "a story", "input_tokens": 2**1024}],
     ids=["list", "string", "non-string-text", "string-tokens", "negative-tokens",
-         "bool-tokens", "float-tokens", "not-json", "not-utf-8"],
+         "bool-tokens", "float-tokens", "not-json", "not-utf-8", "huge-tokens"],
 )
 def test_http_provider_rejects_malformed_bodies(endpoint, body):
     endpoint.answer(200, body)
-    with pytest.raises(ProviderRejectedError, match="malformed provider response"):
+    with pytest.raises(GatewayError, match="^malformed provider response: "):
         endpoint.provider().generate("m", "p", GenerationConfig())
 
 
 def test_http_provider_rejection_of_a_non_utf8_body_names_the_status(endpoint):
     endpoint.answer(400, b"bad request: caf\xe9")
-    with pytest.raises(ProviderRejectedError, match="provider rejected request: 400 bad request"):
+    with pytest.raises(GatewayError, match="^provider rejected request: 400 bad request"):
         endpoint.provider().generate("m", "p", GenerationConfig())
 
 
 def test_http_provider_rejects_a_redirect_without_following_it(endpoint):
     endpoint.answer(302, Location="/elsewhere")
-    with pytest.raises(ProviderRejectedError, match="302.*redirects are not followed"):
+    with pytest.raises(GatewayError, match="^provider answered 302 .*redirects are not followed$"):
         endpoint.provider().generate("m", "p", GenerationConfig())
     assert [s["path"] for s in endpoint.seen] == ["/v1/complete"]
 
@@ -1020,6 +1022,6 @@ def test_http_provider_rejects_an_endpoint_that_is_not_http(endpoint_url):
 
 def test_http_provider_rejects_a_key_that_cannot_be_a_header(endpoint, monkeypatch):
     monkeypatch.setenv("MY_KEY", "sekrit\nX-Injected: 1")
-    with pytest.raises(ProviderRejectedError, match="request not sent"):
+    with pytest.raises(GatewayError, match="^request not sent: "):
         endpoint.provider(api_key_env="MY_KEY").generate("m", "p", GenerationConfig())
     assert endpoint.seen == []

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from restory.errors import DataError
 from restory.metrics import (
     EmbeddedText,
     FidelityBand,
     HashEmbedder,
-    MetricInputError,
     ScoreTriple,
     bleu,
     classify_fidelity,
@@ -243,10 +243,11 @@ def test_bit_parallel_lcs_matches_oracle_on_long_repetitive_inputs(pair):
 
 
 def test_score_triple_validates_range_and_f1():
-    with pytest.raises(MetricInputError):
+    with pytest.raises(DataError, match=r"^precision 1.2 outside \[0, 1\]$"):
         ScoreTriple(1.2, 0.5, 0.7)
-    with pytest.raises(MetricInputError):
-        ScoreTriple(0.5, 0.5, 0.9)  # inconsistent f1
+    with pytest.raises(DataError,
+                       match=r"^f1 0.9 inconsistent with precision/recall \(expected 0.5\)$"):
+        ScoreTriple(0.5, 0.5, 0.9)
     triple = ScoreTriple.from_pr(0.5, 1.0)
     assert abs(triple.f1 - 2 / 3) < 1e-12
 
@@ -294,16 +295,16 @@ def test_greedy_hand_case():
 def test_greedy_errors():
     empty = EmbeddedText(tokens=(), vectors=np.zeros((0, 2)))
     ok = _embedded([[1.0, 0.0]])
-    with pytest.raises(MetricInputError):
+    with pytest.raises(DataError, match="^greedy embedding score needs non-empty inputs$"):
         greedy_embedding_score(empty, ok)
-    with pytest.raises(MetricInputError):
+    with pytest.raises(DataError, match="^embedding dimension mismatch: 2 vs 3$"):
         greedy_embedding_score(ok, _embedded([[1.0, 0.0, 0.0]]))
 
 
 def test_embedded_text_requires_unit_norm():
-    with pytest.raises(MetricInputError):
+    with pytest.raises(DataError, match="^vectors must be unit Euclidean norm$"):
         EmbeddedText(tokens=("a",), vectors=np.array([[2.0, 0.0]]))
-    with pytest.raises(MetricInputError):
+    with pytest.raises(DataError, match="^2 tokens but 1 vectors$"):
         EmbeddedText(tokens=("a", "b"), vectors=np.array([[1.0, 0.0]]))
 
 
@@ -426,7 +427,7 @@ def test_hash_embed_tokens_rows_are_each_tokens_vector_across_matrix_growth(firs
 
 def test_one_hot_embedder_rejects_unknown_token():
     embedder = OneHotEmbedder(vocabulary=["a", "b"])
-    with pytest.raises(MetricInputError):
+    with pytest.raises(DataError, match="^token 'z' not in embedder vocabulary$"):
         embedder.embed("a z")
 
 
@@ -464,5 +465,5 @@ def test_classify_fidelity_total_and_monotone():
 
 def test_classify_fidelity_rejects_out_of_range():
     for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(MetricInputError):
+        with pytest.raises(DataError, match=rf"^f1 {bad} outside \[0, 1\]$"):
             classify_fidelity(bad)

@@ -12,11 +12,8 @@ from restory.jsonl import read_jsonl
 from restory.prompts import (
     PROMPT_VARIANTS,
     SCOT_PRIMITIVES,
-    EmptySnippetError,
     Exemplar,
-    ExemplarCountError,
     PromptConfig,
-    TemplateError,
     default_prompt_config,
     estimate_tokens,
     load_exemplars,
@@ -69,7 +66,7 @@ def test_directive_is_prefix_for_all_variants():
 def test_directive_with_leading_spaces_does_not_lead_the_prompt():
     # The rendered text is stripped, so it loses the directive's leading spaces.
     config = PromptConfig("zero", False, "  Write one story.")
-    with pytest.raises(TemplateError, match="^rendered prompt does not begin with the directive$"):
+    with pytest.raises(DataError, match="^rendered prompt does not begin with the directive$"):
         render_prompt(config, make_snippet("s", 3))
 
 
@@ -78,7 +75,7 @@ def test_exemplar_count_mismatch():
     for shots, count, takes in [("zero", 1, "0"), ("zero", 3, "0"), ("one", 0, "1"),
                                 ("one", 2, "1"), ("one", 3, "1"), ("few", 0, "at least 1")]:
         expected = f"exemplar count mismatch: a '{shots}' prompt takes {takes}, got {count}"
-        with pytest.raises(ExemplarCountError, match=expected):
+        with pytest.raises(DataError, match=f"^{expected}$"):
             PromptConfig(shots=shots, scot=False, directive="d", exemplars=exemplars[:count])
 
 
@@ -99,7 +96,8 @@ def test_exemplars_passed_to_render_stand_in_for_the_configs():
     assert render_prompt(config, snippet, bundled[:3]) == render_prompt(config, snippet)
     shown = render_prompt(_config("one"), snippet, [bundled[2]]).text
     assert bundled[2].story in shown and bundled[0].story not in shown
-    with pytest.raises(ExemplarCountError, match="'zero' prompt takes 0, got 1"):
+    with pytest.raises(DataError,
+                       match="^exemplar count mismatch: a 'zero' prompt takes 0, got 1$"):
         render_prompt(_config("zero"), snippet, bundled[:1])
 
 
@@ -108,7 +106,7 @@ def test_empty_snippet_rejected():
     blank = type(snippet)(
         id="blank", source_text=" \n", language_tag="cpp", nloc=1, stratum_index=0
     )
-    with pytest.raises(EmptySnippetError):
+    with pytest.raises(DataError, match="^snippet blank has empty source$"):
         render_prompt(_config("zero"), blank)
 
 
@@ -237,24 +235,24 @@ def _check_template(monkeypatch, loader, text: str) -> str:
 def test_layout_loader_rejects_missing_placeholder(monkeypatch):
     assert _check_template(monkeypatch, load_layout, LAYOUT) == LAYOUT
     for absent in ("story_format_hint", "scot_block", "exemplars"):
-        with pytest.raises(TemplateError, match=f"^template missing placeholders: {absent}$"):
+        with pytest.raises(DataError, match=f"^template missing placeholders: {absent}$"):
             _check_template(monkeypatch, load_layout, LAYOUT.replace("{{" + absent + "}}", ""))
 
 
 def test_layout_loader_rejects_unknown_placeholder(monkeypatch):
-    with pytest.raises(TemplateError, match="mystery"):
+    with pytest.raises(DataError, match="^unknown placeholders: mystery$"):
         _check_template(monkeypatch, load_layout, LAYOUT.replace("{{code}}", "{{mystery}}\n{{code}}"))
 
 
 def test_layout_must_start_with_directive(monkeypatch):
-    with pytest.raises(TemplateError, match="start with"):
+    with pytest.raises(DataError, match=r"^template must start with \{\{directive\}\}$"):
         _check_template(monkeypatch, load_layout, "preamble\n" + LAYOUT)
 
 
 def test_layout_must_end_with_code(monkeypatch):
-    with pytest.raises(TemplateError, match="end with"):
+    with pytest.raises(DataError, match=r"^template must end with \{\{code\}\} and hold no other$"):
         _check_template(monkeypatch, load_layout, LAYOUT + "Thanks.\n")
-    with pytest.raises(TemplateError, match=r"^template must end with \{\{code\}\} and hold no other$"):
+    with pytest.raises(DataError, match=r"^template must end with \{\{code\}\} and hold no other$"):
         _check_template(monkeypatch, load_layout,
                         LAYOUT.replace("{{exemplars}}", "{{code}}\n{{exemplars}}"))
     _check_template(monkeypatch, load_layout, LAYOUT + "\n")  # trailing whitespace is fine
@@ -262,7 +260,7 @@ def test_layout_must_end_with_code(monkeypatch):
 
 def test_scot_block_loader_requires_primitives(monkeypatch):
     text = "Think about the sequence and each branch.\n"
-    with pytest.raises(TemplateError, match="loop"):
+    with pytest.raises(DataError, match="^reasoning block missing primitives: loop$"):
         _check_template(monkeypatch, load_scot_block, text)
 
 
@@ -306,7 +304,8 @@ def test_prompt_config_validation():
         PromptConfig(shots="many", scot=False, directive="d")
     with pytest.raises(DataError):
         PromptConfig(shots="zero", scot=False, directive="")
-    with pytest.raises(ExemplarCountError):
+    with pytest.raises(DataError,
+                       match="^exemplar count mismatch: a 'few' prompt takes at least 1, got 0$"):
         PromptConfig(shots="few", scot=False, directive="d")
 
 

@@ -14,16 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restory.corpus import CodeSnippet, DatasetRecord
-from restory.errors import DataError
-from restory.gateway import BudgetExceededError, Gateway, ModelSpec, ProviderRejectedError
+from restory.errors import DataError, GatewayError
+from restory.gateway import BudgetExceededError, Gateway, ModelSpec
 from restory.jsonl import csv_text
 from restory.metrics import FidelityBand, HashEmbedder, ScoreTriple, tokenize
-from restory.prompts import EmptySnippetError, default_prompt_config, render_prompt
+from restory.prompts import default_prompt_config, render_prompt
 from restory.runner import (
     AnnotationSet,
     BandAggregate,
     CalibrationPair,
-    EmptyCategoryError,
     FailureRecord,
     GenerationRecord,
     aggregate_by_band,
@@ -295,7 +294,7 @@ class RejectingEchoByPrompt(EchoByPrompt):
 
     def generate(self, model_id, prompt_text, config):
         if _prompt_code(prompt_text) in self._rejected:
-            raise ProviderRejectedError("synthetic rejection")
+            raise GatewayError("synthetic rejection")
         return super().generate(model_id, prompt_text, config)
 
 
@@ -397,15 +396,27 @@ def test_concurrent_render_error_propagates_and_leaks_no_handle(tmp_path, monkey
     monkeypatch.setattr(runner, "open", recording_open, raising=False)
     threads_before = set(threading.enumerate())
     dataset = make_dataset([5, 15, 25])
-    blank = CodeSnippet("blank", " \n\t\n", "cpp", 1, 0)  # renders to EmptySnippetError
+    blank = CodeSnippet("blank", " \n\t\n", "cpp", 1, 0)  # cannot be rendered
     dataset[0] = DatasetRecord(snippet=blank, reference_story=dataset[0].reference_story)
-    with pytest.raises(EmptySnippetError):
+    with pytest.raises(DataError, match="^snippet blank has empty source$"):
         run_experiment(dataset, _gateway(CountingProvider(), tmp_path, concurrency=2),
                        default_prompt_config("one"),
                        results_path=tmp_path / "results.jsonl")
     assert len(opened) == 1 and opened[0].closed
     assert (tmp_path / "results.jsonl").read_bytes() == b""
     assert set(threading.enumerate()) <= threads_before  # the pool's workers are joined
+
+
+def test_unknown_metric_is_refused_before_any_call_or_write(tmp_path):
+    provider = CountingProvider()
+    results = tmp_path / "results.jsonl"
+    results.write_text("an earlier run\n", encoding="utf-8")
+    with pytest.raises(DataError, match="^unknown metric 'nope'$"):
+        run_experiment(make_dataset([5]), _gateway(provider, tmp_path),
+                       default_prompt_config("zero"), metric_names=("nope",), results_path=results)
+    assert provider.calls == 0
+    assert not (tmp_path / "cache" / "ledger.csv").exists()
+    assert results.read_text(encoding="utf-8") == "an earlier run\n"
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +632,8 @@ def test_calibration_identical_pairs_rouge_is_100():
 
 def test_calibration_empty_category_rejected():
     pairs = [CalibrationPair("a b", "a b", "twin-minimal")]
-    with pytest.raises(EmptyCategoryError):
+    with pytest.raises(DataError,
+                       match="^empty calibration categories: paraphrase-50, different-meaning$"):
         calibration_experiment(pairs, HashEmbedder(dim=8))
 
 

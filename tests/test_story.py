@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from restory.story import StoryParseError, UserStory, canonical_text, parse_stories, parse_story
+from restory.errors import DataError
+from restory.story import UserStory, canonical_text, parse_stories, parse_story
 
 
 def test_parse_full_story():
@@ -23,7 +24,7 @@ def test_parse_missing_benefit_flags_warning():
 
 
 def test_parse_no_match_is_error():
-    with pytest.raises(StoryParseError):
+    with pytest.raises(DataError, match="^no user story clause found$"):
         parse_story("This function sorts integers.")
 
 
