@@ -220,7 +220,7 @@ def _cmd_profile(args) -> int:
     if not root.is_dir():
         raise DataError(f"not a directory: {root}")
     try:
-        paths = sorted(root.glob(args.glob))
+        paths = sorted(path for path in root.glob(args.glob) if path.is_file())
     except (ValueError, NotImplementedError, IndexError) as exc:  # IndexError: "." before 3.13
         raise UsageError(f"bad --glob pattern {args.glob!r}: give a non-empty pattern "
                          "relative to the directory, such as '*.cpp'") from exc

@@ -226,8 +226,11 @@ def _record_from_json(obj: dict) -> DatasetRecord:
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Load a JSON Lines dataset, validating every record's types and
     invariants. Each error names the file and line, and the record id
-    once the line is an object."""
-    return read_unique_jsonl(path, _record_from_json, lambda r: r.snippet.id, "record")
+    once the line is an object; a file with no records is refused."""
+    records = read_unique_jsonl(path, _record_from_json, lambda r: r.snippet.id, "record")
+    if not records:
+        raise DataError(f"{path}: dataset is empty")
+    return records
 
 
 def profile_files(paths: Iterable[Path]) -> tuple[list[tuple[str, int, int | None]], list[str]]:

@@ -1,16 +1,16 @@
 """Prompt assembly for the six template variants.
 
 Variants combine a shot mode (zero, one, few) with structured reasoning
-on or off. The behavioral directive always leads the prompt so the model
-sees the output contract before anything else; exemplars and the target
-snippet follow, each inside a code fence longer than any backtick run in
-it. A `PromptConfig` carries its exemplars, and `prompted_code` reads the
-target snippet's code back from a rendered prompt.
+on or off. Every prompt has one fixed layout, written in `_frame`: the
+behavioral directive leads, so the model sees the output contract before
+anything else, then the story format hint, the reasoning block (SCoT
+variants only), the exemplars and the target snippet, each exemplar and
+the snippet inside a code fence longer than any backtick run in it. A
+`PromptConfig` carries its exemplars, and `prompted_code` reads the target
+snippet's code back from a rendered prompt.
 
-Wording lives in the bundled template files, not in code. The one layout
-file serves all six variants, so it holds all five placeholders,
-`{{directive}}`, `{{story_format_hint}}`, `{{scot_block}}`, `{{exemplars}}`
-and `{{code}}`, which ends it and appears once; the reasoning block must
+Wording lives in three bundled files, not in code: `directive.txt`, which
+must be non-empty, `story_hint.txt`, and `scot_block.txt`, which must
 mention all three control-flow primitives (sequence, branch, loop).
 """
 
@@ -42,9 +42,10 @@ PROMPT_VARIANTS = {
 SCOT_PRIMITIVES = ("sequence", "branch", "loop")
 
 
-@cache  # bundled templates are immutable; read each file once per process
+@cache  # bundled templates are immutable; read and strip each file once per process
 def _data_text(name: str) -> str:
-    return (resources.files("restory") / "data" / "templates" / name).read_text(encoding="utf-8")
+    path = resources.files("restory") / "data" / "templates" / name
+    return path.read_text(encoding="utf-8").strip()
 
 
 def estimate_tokens(text: str) -> int:
@@ -78,15 +79,11 @@ def load_exemplars() -> list[Exemplar]:
 class PromptConfig:
     shots: str  # "zero" | "one" | "few"
     scot: bool
-    directive: str
-    story_format_hint: str = ""
     exemplars: tuple[Exemplar, ...] = ()  # shown in order; SHOT_MODES bounds the count
 
     def __post_init__(self):
         if self.shots not in SHOT_MODES:
             raise DataError(f"unknown shot mode {self.shots!r}")
-        if not self.directive:
-            raise DataError("directive must be non-empty")
         fewest, most = SHOT_MODES[self.shots]
         if not fewest <= len(self.exemplars) <= most:
             raise DataError(
@@ -105,15 +102,14 @@ class PromptConfig:
             "shots": self.shots,
             "k": len(self.exemplars),
             "scot": self.scot,
-            "directive": self.directive,
-            "hint": self.story_format_hint,
+            "directive": load_directive(),
+            "hint": _data_text("story_hint.txt"),
         })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def default_prompt_config(variant: str, few_k: int = 3) -> PromptConfig:
-    """Build one of the six named variants with the bundled directive, hint
-    and exemplars; a few-shot variant shows the first `few_k` of them."""
+    """One of the six named variants; a few-shot one shows the first `few_k` bundled exemplars."""
     if variant not in PROMPT_VARIANTS:
         raise DataError(
             f"undefined prompt variant {variant!r}; choose one of: "
@@ -125,26 +121,17 @@ def default_prompt_config(variant: str, few_k: int = 3) -> PromptConfig:
     exemplars = tuple(load_exemplars())[: few_k if shots == "few" else SHOT_MODES[shots][0]]
     if shots == "few" and len(exemplars) < few_k:
         raise DataError(f"need {few_k} exemplars but only {len(exemplars)} bundled")
-    return PromptConfig(
-        shots=shots,
-        scot=scot,
-        directive=_data_text("directive.txt").strip(),
-        story_format_hint=_data_text("story_hint.txt").strip(),
-        exemplars=exemplars,
-    )
+    return PromptConfig(shots, scot, exemplars)
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    config_fingerprint: str
 
 
-_PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # Runs of three or more newlines. Spelled with a literal prefix rather than
 # `\n{3,}` so that `re` can skip ahead to candidate matches quickly.
 _BLANK_RUN_RE = re.compile(r"\n\n\n+")
-_KNOWN_PLACEHOLDERS = {"directive", "story_format_hint", "scot_block", "exemplars", "code"}
 
 
 def shown_code(source_text: str) -> str:
@@ -153,23 +140,10 @@ def shown_code(source_text: str) -> str:
     return _BLANK_RUN_RE.sub("\n\n", "\n" + source_text.rstrip())[1:]
 
 
-@cache  # the bundled files never change, so each check runs once per process
-def load_layout() -> str:
-    """The bundled layout template, rejected if a placeholder is missing or
-    unknown: the one layout serves every variant, so it holds all five."""
-    text = _data_text("layout.txt")
-    found = set(_PLACEHOLDER_RE.findall(text))
-    unknown = found - _KNOWN_PLACEHOLDERS
-    if unknown:
-        raise DataError("unknown placeholders: " + ", ".join(sorted(unknown)))
-    missing = _KNOWN_PLACEHOLDERS - found
-    if missing:
-        raise DataError("template missing placeholders: " + ", ".join(sorted(missing)))
-    if not text.startswith("{{directive}}"):
-        raise DataError("template must start with {{directive}}")
-    # `prompted_code` reads the last block, and `_frame` takes all before it.
-    if not text.rstrip().endswith("{{code}}") or text.count("{{code}}") > 1:
-        raise DataError("template must end with {{code}} and hold no other")
+def load_directive() -> str:
+    """The bundled directive, which leads every prompt, so must be non-empty."""
+    if not (text := _data_text("directive.txt")):
+        raise DataError("directive must be non-empty")
     return text
 
 
@@ -181,7 +155,7 @@ def load_scot_block() -> str:
     missing = [p for p in SCOT_PRIMITIVES if p not in lowered]
     if missing:
         raise DataError("reasoning block missing primitives: " + ", ".join(missing))
-    return text.strip()
+    return text
 
 
 def _fenced(code: str, language_tag: str) -> str:
@@ -210,21 +184,13 @@ def _exemplar_block(exemplars: Sequence[Exemplar], language_tag: str) -> str:
 
 
 def _frame(config: PromptConfig, language_tag: str) -> str:
-    """A prompt up to its snippet's fence: the layout before `{{code}}`, filled,
-    blank-line runs cut and leading whitespace dropped. A fence opens and closes
-    on a backtick, so no blank run crosses it; only whitespace follows it."""
-    substitutions = {
-        "directive": config.directive,
-        "story_format_hint": config.story_format_hint,
-        "scot_block": load_scot_block() if config.scot else "",
-        "exemplars": _exemplar_block(config.exemplars, language_tag),
-    }
-    head = load_layout().rpartition("{{code}}")[0]
-    frame = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], head)
-    frame = _BLANK_RUN_RE.sub("\n\n", frame).lstrip()
-    if not frame.startswith(config.directive):
-        raise DataError("rendered prompt does not begin with the directive")
-    return frame
+    """A prompt up to its snippet's fence, blank-line runs cut: a fence opens and
+    closes on a backtick, so no blank run crosses it, and only a newline follows it."""
+    directive, hint = load_directive(), _data_text("story_hint.txt")
+    scot = load_scot_block() if config.scot else ""
+    exemplars = _exemplar_block(config.exemplars, language_tag)
+    frame = f"{directive}\n{hint}\n\n{scot}\n\n{exemplars}\n\nCode to analyze:\n"
+    return _BLANK_RUN_RE.sub("\n\n", frame)
 
 
 def render_prompt(config: PromptConfig, snippet: CodeSnippet,
@@ -240,4 +206,4 @@ def render_prompt(config: PromptConfig, snippet: CodeSnippet,
     if frame is None:
         frame = config._frames[snippet.language_tag] = _frame(config, snippet.language_tag)
     code = _fenced(shown_code(snippet.source_text), snippet.language_tag)
-    return RenderedPrompt(text=frame + code + "\n", config_fingerprint=config.fingerprint)
+    return RenderedPrompt(text=frame + code + "\n")

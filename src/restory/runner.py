@@ -237,14 +237,13 @@ def run_experiment(
     min_output_tokens = gateway.config.min_output_tokens
 
     def generate(entry: DatasetRecord):
-        """(rendered prompt, completion), or the GatewayError that ended the call."""
-        rendered = render_prompt(prompt_config, entry.snippet)
+        """The completion, or the GatewayError that ended the call."""
         try:
-            return rendered, gateway.complete(rendered.text)
+            return gateway.complete(render_prompt(prompt_config, entry.snippet).text)
         except GatewayError as exc:
             return exc
 
-    def scored(entry: DatasetRecord, rendered, completion) -> GenerationRecord:
+    def scored(entry: DatasetRecord, completion) -> GenerationRecord:
         stories = parse_stories(completion.text)
         if stories:
             candidate = " ".join(canonical_text(s) for s in stories)
@@ -255,7 +254,7 @@ def run_experiment(
             snippet_id=entry.snippet.id,
             nloc=entry.snippet.nloc,
             model_id=gateway.model.model_id,
-            prompt_fingerprint=rendered.config_fingerprint,
+            prompt_fingerprint=prompt_config.fingerprint,
             prompt_label=prompt_label,
             scot=prompt_config.scot,
             candidate_story=candidate,
@@ -288,12 +287,11 @@ def run_experiment(
                 record = FailureRecord(entry.snippet.id, entry.snippet.nloc, str(outcome))
                 failures.append(record)
             else:
-                rendered, completion = outcome
-                record = scored(entry, rendered, completion)
+                record = scored(entry, outcome)
                 records.append(record)
-                if not completion.cached:
+                if not outcome.cached:
                     new_completions += 1
-                    short_completions += completion.output_tokens < min_output_tokens
+                    short_completions += outcome.output_tokens < min_output_tokens
             if out_fh:
                 out_fh.write(record.to_json() + "\n")
                 out_fh.flush()

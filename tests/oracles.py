@@ -25,10 +25,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import string
 from collections import Counter
 from dataclasses import MISSING, fields
 from functools import cache, lru_cache
+from importlib import resources
 from typing import Sequence
 
 from restory import prompts
@@ -152,23 +154,31 @@ def oracle_cache_key(model_id: str, config, prompt_text: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+# The layout every prompt had while it was a bundled template file.
+_ORACLE_LAYOUT = ("{{directive}}\n{{story_format_hint}}\n\n{{scot_block}}\n\n{{exemplars}}\n\n"
+                  "Code to analyze:\n{{code}}\n")
+
+
+@cache
+def _bundled_wording(name: str) -> str:
+    return (resources.files("restory") / "data" / "templates" / name).read_text(encoding="utf-8")
+
+
 def oracle_render_prompt(config, snippet):
     """A prompt rendered by filling every placeholder of the whole layout,
     then cutting blank-line runs and stripping the text, once per snippet."""
     if not snippet.source_text.strip():
         raise DataError(f"snippet {snippet.id} has empty source")
     substitutions = {
-        "directive": config.directive,
-        "story_format_hint": config.story_format_hint,
-        "scot_block": prompts.load_scot_block() if config.scot else "",
+        "directive": _bundled_wording("directive.txt").strip(),
+        "story_format_hint": _bundled_wording("story_hint.txt").strip(),
+        "scot_block": _bundled_wording("scot_block.txt").strip() if config.scot else "",
         "exemplars": prompts._exemplar_block(config.exemplars, snippet.language_tag),
         "code": prompts._fenced(prompts.shown_code(snippet.source_text), snippet.language_tag),
     }
-    text = prompts._PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], prompts.load_layout())
+    text = re.sub(r"\{\{(\w+)\}\}", lambda m: substitutions[m.group(1)], _ORACLE_LAYOUT)
     text = prompts._BLANK_RUN_RE.sub("\n\n", text).strip() + "\n"
-    if not text.startswith(config.directive):
-        raise DataError("rendered prompt does not begin with the directive")
-    return prompts.RenderedPrompt(text=text, config_fingerprint=config.fingerprint)
+    return prompts.RenderedPrompt(text=text)
 
 
 def oracle_exceeds_physical_lines(source_text: str, nloc: int) -> bool:

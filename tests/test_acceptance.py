@@ -38,6 +38,7 @@ from restory.prompts import (
     SCOT_PRIMITIVES,
     default_prompt_config,
     estimate_tokens,
+    load_directive,
     render_prompt,
 )
 from restory.runner import (
@@ -219,7 +220,7 @@ def test_prompt_variant_contracts():
     snippet = make_snippet("mid", 20)
     for name, config in configs.items():
         rendered = render_prompt(config, snippet)
-        assert rendered.text.startswith(config.directive)
+        assert rendered.text.startswith(load_directive())
         has_primitives = all(p in rendered.text.lower() for p in SCOT_PRIMITIVES)
         if config.scot:
             assert has_primitives, name

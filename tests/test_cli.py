@@ -74,6 +74,20 @@ def test_profile_bad_glob_is_a_usage_error(tmp_path, capsys, pattern):
     assert capsys.readouterr().err.startswith(f"bad --glob pattern {pattern!r}: ")
 
 
+def test_profile_globs_match_files_only(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.cpp").write_text(make_cpp_source(2), encoding="utf-8")
+    for pattern in ("*", "**"):  # each matches only the directory
+        assert dispatch(["profile", str(tmp_path), "--glob", pattern]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no files match {pattern!r} under {tmp_path}\n"
+    assert dispatch(["profile", str(tmp_path), "--glob", "**/*"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"path,nloc,stratum\n{tmp_path / 'sub' / 'a.cpp'},2,0\n"
+
+
 def test_profile_skips_unlexable_files_with_warning(tmp_path, capsys):
     (tmp_path / "ok.cpp").write_text(make_cpp_source(2), encoding="utf-8")
     (tmp_path / "broken.cpp").write_text("/* never closed\n", encoding="utf-8")
@@ -134,6 +148,23 @@ def test_sample_deficient_stratum_is_data_error(dataset_35, tmp_path, capsys):
 def test_sample_missing_dataset_is_data_error(tmp_path):
     assert dispatch(["sample", "--in", str(tmp_path / "nope.jsonl"),
                      "--per-stratum", "1", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("command", ["sample", "generate"])
+def test_a_dataset_without_records_is_a_data_error_naming_the_file(tmp_path, capsys,
+                                                                   command, text):
+    dataset = tmp_path / "empty.jsonl"
+    dataset.write_text(text, encoding="utf-8")
+    out = tmp_path / "sampled.jsonl"
+    argv = (["sample", "--in", str(dataset), "--per-stratum", "1", "--seed", "1",
+             "--out", str(out)] if command == "sample"
+            else ["generate", "--manifest", str(write_manifest(tmp_path, dataset))])
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {dataset}: dataset is empty\n"
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "run").exists()
 
 
 # A change to line 2 of a dataset, and the cause its error names after the

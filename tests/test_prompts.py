@@ -16,8 +16,8 @@ from restory.prompts import (
     PromptConfig,
     default_prompt_config,
     estimate_tokens,
+    load_directive,
     load_exemplars,
-    load_layout,
     load_scot_block,
     prompted_code,
     render_prompt,
@@ -40,7 +40,7 @@ def test_six_variants_have_distinct_fingerprints():
 def test_zero_shot_plain_has_no_exemplars_or_reasoning():
     snippet = make_snippet("s", 5)
     rendered = render_prompt(_config("zero"), snippet)
-    assert rendered.text.startswith(_config("zero").directive)
+    assert rendered.text.startswith(load_directive())
     assert "Example" not in rendered.text
     assert "sequence of operations" not in rendered.text
     assert snippet.source_text.strip() in rendered.text
@@ -58,16 +58,8 @@ def test_one_shot_scot_contains_one_exemplar_and_primitives():
 def test_directive_is_prefix_for_all_variants():
     snippet = make_snippet("s", 12)
     for name in PROMPT_VARIANTS:
-        config = _config(name)
-        rendered = render_prompt(config, snippet)
-        assert rendered.text.startswith(config.directive)
-
-
-def test_directive_with_leading_spaces_does_not_lead_the_prompt():
-    # The rendered text is stripped, so it loses the directive's leading spaces.
-    config = PromptConfig("zero", False, "  Write one story.")
-    with pytest.raises(DataError, match="^rendered prompt does not begin with the directive$"):
-        render_prompt(config, make_snippet("s", 3))
+        rendered = render_prompt(_config(name), snippet)
+        assert rendered.text.startswith(load_directive())
 
 
 def test_exemplar_count_mismatch():
@@ -76,7 +68,7 @@ def test_exemplar_count_mismatch():
                                 ("one", 2, "1"), ("one", 3, "1"), ("few", 0, "at least 1")]:
         expected = f"exemplar count mismatch: a '{shots}' prompt takes {takes}, got {count}"
         with pytest.raises(DataError, match=f"^{expected}$"):
-            PromptConfig(shots=shots, scot=False, directive="d", exemplars=exemplars[:count])
+            PromptConfig(shots=shots, scot=False, exemplars=exemplars[:count])
 
 
 @pytest.mark.parametrize("variant, few_k, count", [
@@ -116,7 +108,6 @@ def test_rendering_is_deterministic():
     a = render_prompt(config, snippet)
     b = render_prompt(config, snippet)
     assert a.text == b.text
-    assert a.config_fingerprint == b.config_fingerprint
 
 
 @pytest.mark.parametrize("variant", sorted(PROMPT_VARIANTS))
@@ -140,7 +131,7 @@ def test_fence_outgrows_the_longest_backtick_run_and_code_without_one_keeps_thre
     assert text.endswith("\n``````cpp\na ``` b ````` c\n``````\n")
     text = render_prompt(_config("zero"), CodeSnippet("s", "a ` b\n", "cpp", 1, 0)).text
     assert text.endswith("\n```cpp\na ` b\n```\n")
-    config = PromptConfig(shots="one", scot=False, directive="d",
+    config = PromptConfig(shots="one", scot=False,
                           exemplars=(Exemplar("x ```` y", "As a u, I want g."),))
     text = render_prompt(config, make_snippet("s", 5)).text
     assert "Example 1:\n`````cpp\nx ```` y\n`````\n" in text
@@ -165,10 +156,6 @@ def _configs(draw) -> PromptConfig:
     return PromptConfig(
         shots=shots,
         scot=draw(st.booleans()),
-        # Mostly a directive that leads the prompt; sometimes one the
-        # blank-line cut or the strip changes, which the render refuses.
-        directive=draw(st.one_of(st.just("Write one story."), _PIECES).filter(bool)),
-        story_format_hint=draw(_PIECES),
         exemplars=tuple(draw(st.lists(_EXEMPLARS, min_size=count, max_size=count))),
     )
 
@@ -223,39 +210,16 @@ def test_estimate_tokens_monotone_in_prefix(prefix, suffix):
     assert estimate_tokens(prefix) <= estimate_tokens(prefix + suffix)
 
 
-LAYOUT = "{{directive}}\n{{story_format_hint}}\n{{scot_block}}\n{{exemplars}}\n{{code}}\n"
-
-
 def _check_template(monkeypatch, loader, text: str) -> str:
     """Run `loader`'s checks on `text` in place of its bundled file."""
     monkeypatch.setattr(prompts, "_data_text", lambda name: text)
     return loader.__wrapped__()
 
 
-def test_layout_loader_rejects_missing_placeholder(monkeypatch):
-    assert _check_template(monkeypatch, load_layout, LAYOUT) == LAYOUT
-    for absent in ("story_format_hint", "scot_block", "exemplars"):
-        with pytest.raises(DataError, match=f"^template missing placeholders: {absent}$"):
-            _check_template(monkeypatch, load_layout, LAYOUT.replace("{{" + absent + "}}", ""))
-
-
-def test_layout_loader_rejects_unknown_placeholder(monkeypatch):
-    with pytest.raises(DataError, match="^unknown placeholders: mystery$"):
-        _check_template(monkeypatch, load_layout, LAYOUT.replace("{{code}}", "{{mystery}}\n{{code}}"))
-
-
-def test_layout_must_start_with_directive(monkeypatch):
-    with pytest.raises(DataError, match=r"^template must start with \{\{directive\}\}$"):
-        _check_template(monkeypatch, load_layout, "preamble\n" + LAYOUT)
-
-
-def test_layout_must_end_with_code(monkeypatch):
-    with pytest.raises(DataError, match=r"^template must end with \{\{code\}\} and hold no other$"):
-        _check_template(monkeypatch, load_layout, LAYOUT + "Thanks.\n")
-    with pytest.raises(DataError, match=r"^template must end with \{\{code\}\} and hold no other$"):
-        _check_template(monkeypatch, load_layout,
-                        LAYOUT.replace("{{exemplars}}", "{{code}}\n{{exemplars}}"))
-    _check_template(monkeypatch, load_layout, LAYOUT + "\n")  # trailing whitespace is fine
+def test_directive_loader_requires_text(monkeypatch):
+    monkeypatch.setattr(prompts, "_data_text", lambda name: "")
+    with pytest.raises(DataError, match="^directive must be non-empty$"):
+        load_directive()
 
 
 def test_scot_block_loader_requires_primitives(monkeypatch):
@@ -301,18 +265,14 @@ def test_undefined_variant_message_names_it():
 
 def test_prompt_config_validation():
     with pytest.raises(DataError):
-        PromptConfig(shots="many", scot=False, directive="d")
-    with pytest.raises(DataError):
-        PromptConfig(shots="zero", scot=False, directive="")
+        PromptConfig(shots="many", scot=False)
     with pytest.raises(DataError,
                        match="^exemplar count mismatch: a 'few' prompt takes at least 1, got 0$"):
-        PromptConfig(shots="few", scot=False, directive="d")
+        PromptConfig(shots="few", scot=False)
 
 
 def test_few_and_one_fingerprints_differ_even_at_k_one():
     exemplars = tuple(load_exemplars()[:1])
-    one = PromptConfig(shots="one", scot=False, directive="d", story_format_hint="h",
-                       exemplars=exemplars)
-    few1 = PromptConfig(shots="few", scot=False, directive="d", story_format_hint="h",
-                        exemplars=exemplars)
+    one = PromptConfig(shots="one", scot=False, exemplars=exemplars)
+    few1 = PromptConfig(shots="few", scot=False, exemplars=exemplars)
     assert one.fingerprint != few1.fingerprint

@@ -270,8 +270,11 @@ def test_multiple_stories_concatenated_and_flagged(tmp_path):
 
 
 def test_empty_dataset_rejected(tmp_path):
-    with pytest.raises(DataError):
-        run_experiment([], _gateway(CountingProvider(), tmp_path), default_prompt_config("zero"))
+    results = tmp_path / "out" / "results.jsonl"
+    with pytest.raises(DataError, match="^dataset is empty$"):
+        run_experiment([], _gateway(CountingProvider(), tmp_path), default_prompt_config("zero"),
+                       results_path=results)
+    assert not results.exists()
 
 
 def test_concurrent_run_matches_serial(tmp_path):
