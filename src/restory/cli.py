@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -309,13 +310,29 @@ def _cmd_generate(args) -> int:
     return worst
 
 
+@contextmanager
+def _whole_file(path):
+    """Name `path` in a data error about the file as a whole, which the
+    library raises without knowing where its input came from."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _report_rows(path: str, scheme: str, metric: str = corpus.GREEDY_METRIC) -> list[dict]:
     """The report rows of one results file, which must hold a scored record."""
     from . import runner
     records, failures = runner.load_results(path)
     if not records:
         raise DataError(f"{path}: no scored records")
-    return runner.collect_report_rows(records, scheme, metric, failures)
+    with _whole_file(path):
+        return runner.collect_report_rows(records, scheme, metric, failures)
+
+
+def _mean_cell(mean: float | None) -> str:
+    """A mean as `evaluate` prints it: blank in a band of failures alone."""
+    return " " * 9 if mean is None else f"{mean:>9.2f}"
 
 
 def _cmd_evaluate(args) -> int:
@@ -323,8 +340,8 @@ def _cmd_evaluate(args) -> int:
     lines = [f"{'band':>9} {'n':>5} {'precision':>9} {'recall':>9} {'f1':>9} {'failures':>8}"]
     for row in rows:
         lines.append(
-            f"{row['band']:>9} {row['n']:>5} {row['precision']:>9.2f} "
-            f"{row['recall']:>9.2f} {row['f1']:>9.2f} {row['failures']:>8}"
+            f"{row['band']:>9} {row['n']:>5} {_mean_cell(row['precision'])} "
+            f"{_mean_cell(row['recall'])} {_mean_cell(row['f1'])} {row['failures']:>8}"
         )
     _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -334,7 +351,8 @@ def _cmd_calibrate(args) -> int:
     from . import runner
     from .metrics import HashEmbedder
     pairs = runner.load_calibration_pairs(args.pairs)
-    rows = runner.calibration_experiment(pairs, HashEmbedder(dim=args.dim))
+    with _whole_file(args.pairs):
+        rows = runner.calibration_experiment(pairs, HashEmbedder(dim=args.dim))
     columns = ("metric", "variant", *runner.CALIBRATION_CATEGORIES)
     _write_or_print(csv_text(columns, ([row[c] for c in columns] for row in rows)), args.out)
     return EXIT_OK
@@ -350,7 +368,8 @@ def _cmd_kappa(args) -> int:
     from . import runner
     rows = read_unique_jsonl(args.labels, _label_row, lambda row: row[0], "item")
     ids, labels_a, labels_b = zip(*rows) if rows else ((), (), ())
-    value = runner.cohen_kappa(runner.AnnotationSet(ids, labels_a, labels_b))
+    with _whole_file(args.labels):
+        value = runner.cohen_kappa(runner.AnnotationSet(ids, labels_a, labels_b))
     print(f"{value:.3f}")
     return EXIT_OK
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import string
 import threading
-import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -267,15 +266,11 @@ def bleu(
     smoothing: bool = False,
 ) -> float:
     """BLEU-4: the geometric mean of the clipped 1- to 4-gram precisions,
-    times the brevity penalty.
+    times the brevity penalty. Either side empty gives 0, as in `rouge_l`.
 
     With smoothing, numerators and denominators for n >= 2 get add-one;
     without it, any zero precision collapses the score to 0.
     """
-    if not candidate or not reference:
-        _warnings.warn("bleu over an empty sequence is defined as 0", RuntimeWarning)
-        return 0.0
-
     # One table of the reference's n-grams of every order (a token, or a
     # tuple of n >= 2 tokens). Each candidate n-gram takes one remaining
     # reference copy, so an order's matches sum to min(candidate count,
@@ -319,8 +314,6 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     count the LCS of the prefix of `a` read so far against `b`; one integer
     addition updates every position at once.
     """
-    if not a or not b:
-        return 0
     masks: dict[str, int] = {}
     for j, tok in enumerate(b):
         masks[tok] = masks.get(tok, 0) | (1 << j)
@@ -369,10 +362,9 @@ class EmbeddedText:
             raise DataError(f"vectors must be 2-D, got shape {vecs.shape}")
         if len(self.tokens) != vecs.shape[0]:
             raise DataError(f"{len(self.tokens)} tokens but {vecs.shape[0]} vectors")
-        if vecs.shape[0]:
-            norms = np.linalg.norm(vecs, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise DataError("vectors must be unit Euclidean norm")
+        norms = np.linalg.norm(vecs, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-6):  # no rows: np.any is False
+            raise DataError("vectors must be unit Euclidean norm")
 
     @classmethod
     def _trusted(cls, tokens: tuple[str, ...], vectors: np.ndarray) -> "EmbeddedText":
@@ -391,19 +383,6 @@ class EmbeddedText:
         return int(self.vectors.shape[1])
 
 
-@lru_cache(maxsize=None)
-def _numpy_kernels():
-    """numpy's pairwise-summing reduction and its clip ufunc, which
-    `np.mean` and `np.clip` call under their Python wrappers."""
-    import numpy as np
-
-    try:
-        from numpy._core.umath import clip
-    except ImportError:  # numpy < 2
-        from numpy.core.umath import clip
-    return np.add.reduce, clip
-
-
 def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> ScoreTriple:
     """Greedy max-cosine token matching: precision averages each candidate
     token's best match against the reference, recall the reverse. Negative
@@ -412,13 +391,11 @@ def greedy_embedding_score(candidate: EmbeddedText, reference: EmbeddedText) -> 
         raise DataError("greedy embedding score needs non-empty inputs")
     if candidate.dim != reference.dim:
         raise DataError(f"embedding dimension mismatch: {candidate.dim} vs {reference.dim}")
-    add_reduce, clip = _numpy_kernels()
     sim = candidate.vectors @ reference.vectors.T
-    # The steps of np.mean(np.clip(best, 0.0, 1.0)), so the same floats: the
-    # clip ufunc (np.maximum would turn a -0.0 that clip keeps into 0.0), the
-    # pairwise sum and one division by the count.
-    precision = float(add_reduce(clip(sim.max(axis=1), 0.0, 1.0)) / len(candidate))
-    recall = float(add_reduce(clip(sim.max(axis=0), 0.0, 1.0)) / len(reference))
+    # The steps of np.mean(np.clip(best, 0.0, 1.0)), so the same floats. Clip,
+    # not np.maximum, which would turn a -0.0 best match into 0.0.
+    precision = float(sim.max(axis=1).clip(0.0, 1.0).sum() / len(candidate))
+    recall = float(sim.max(axis=0).clip(0.0, 1.0).sum() / len(reference))
     return ScoreTriple.from_pr(precision, recall)
 
 

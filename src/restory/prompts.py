@@ -147,7 +147,6 @@ def load_directive() -> str:
     return text
 
 
-@cache
 def load_scot_block() -> str:
     """The bundled reasoning block, which must name every SCOT primitive."""
     text = _data_text("scot_block.txt")

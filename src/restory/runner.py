@@ -323,14 +323,14 @@ class BandAggregate:
     lower: int
     upper: int
     n: int
-    mean_precision: float
-    mean_recall: float
-    mean_f1: float
+    mean_precision: float | None  # None in a band of failures alone (n 0)
+    mean_recall: float | None
+    mean_f1: float | None
     failures: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DataError("aggregate n must be positive")
+        if self.n < 0 or self.n == 0 and self.failures < 1:
+            raise DataError("aggregate n must be positive, or 0 in a band of failures alone")
 
 
 def aggregate_by_band(
@@ -341,7 +341,8 @@ def aggregate_by_band(
 ) -> list[BandAggregate]:
     """Mean P/R/F1 of `metric` per NLOC band; empty bands are omitted.
 
-    Failures count per band but never enter the means.
+    Failures count per band but never enter the means. A band that holds
+    failures and no record has n 0 and None for each mean.
     """
     if not records:
         raise DataError("no records to aggregate")
@@ -360,8 +361,9 @@ def aggregate_by_band(
     failed = Counter(band_at[f.nloc - 1] for f in failures)
 
     out: list[BandAggregate] = []
-    for idx, triples in sorted(grouped.items()):
+    for idx in sorted(grouped.keys() | failed.keys()):
         label, lo, hi = bands[idx]
+        triples = grouped.get(idx, ())
         n = len(triples)
         out.append(
             BandAggregate(
@@ -369,9 +371,9 @@ def aggregate_by_band(
                 lower=lo,
                 upper=hi,
                 n=n,
-                mean_precision=sum(t.precision for t in triples) / n,
-                mean_recall=sum(t.recall for t in triples) / n,
-                mean_f1=sum(t.f1 for t in triples) / n,
+                mean_precision=sum(t.precision for t in triples) / n if n else None,
+                mean_recall=sum(t.recall for t in triples) / n if n else None,
+                mean_f1=sum(t.f1 for t in triples) / n if n else None,
                 failures=failed[idx],
             )
         )
@@ -400,11 +402,15 @@ def collect_report_rows(
     for (model, prompt, scot), group in sorted(groups.items()):
         for agg in aggregate_by_band(group, scheme, metric, failures if single else ()):
             rows.append(dict(zip(REPORT_COLUMNS, (
-                agg.band_label, agg.n, round(agg.mean_precision * 100, 2),
-                round(agg.mean_recall * 100, 2), round(agg.mean_f1 * 100, 2),
+                agg.band_label, agg.n, _percent(agg.mean_precision),
+                _percent(agg.mean_recall), _percent(agg.mean_f1),
                 scot, prompt, model, agg.failures,
             ))))
     return rows
+
+
+def _percent(mean: float | None) -> float | None:
+    return None if mean is None else round(mean * 100, 2)
 
 
 def write_report_rows(rows: Sequence[dict], path: str | Path, format: str = "csv") -> None:

@@ -213,7 +213,7 @@ def read_report(path: str | Path, format: str = "csv") -> list[dict]:
     for row in rows:
         row["n"] = int(row["n"])
         row["failures"] = int(row["failures"])
-        for key in ("precision", "recall", "f1"):
-            row[key] = float(row[key])
+        for key in ("precision", "recall", "f1"):  # empty in a band of failures alone
+            row[key] = float(row[key]) if row[key] else None
         row["scot"] = row["scot"] == "true"
     return rows

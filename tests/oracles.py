@@ -96,8 +96,8 @@ def oracle_bleu_counted(
     smoothing: bool = False,
 ) -> float:
     """The `bleu` that counted tuple slices and clipped over every candidate
-    n-gram, unchanged but for its empty-input warning: the reference for
-    its exact floats."""
+    n-gram, with an explicit 0 for an empty side where `bleu` reaches 0
+    through its general path: the reference for its exact floats."""
     if not candidate or not reference:
         return 0.0
 
@@ -125,8 +125,8 @@ def oracle_bleu_counted(
 
 
 def oracle_greedy_embedding_score(candidate, reference):
-    """`greedy_embedding_score` as it was before it called numpy's clip
-    ufunc and reduction directly, unchanged: the reference for its exact
+    """`greedy_embedding_score` through `np.mean` and `np.clip`, whose steps
+    `ndarray.clip` and `ndarray.sum` repeat: the reference for its exact
     floats, signed zeros included."""
     if len(candidate) == 0 or len(reference) == 0:
         raise DataError("greedy embedding score needs non-empty inputs")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from restory.cli import RunManifest, dispatch, parse_manifest
 from restory.corpus import DatasetRecord, save_dataset
 
 from conftest import (
-    ledger_cost, make_cpp_source, make_dataset, snippet_from_source, write_manifest,
+    ledger_cost, make_cpp_source, make_dataset, read_report, snippet_from_source, write_manifest,
 )
 
 
@@ -703,6 +705,77 @@ def test_results_line_without_prompt_label_or_scot_reads_as_empty_and_false(
     assert all(row["prompt"] == "" and row["scot"] == "false" for row in rows)
 
 
+def test_band_of_failures_alone_gets_a_row_in_evaluate_and_report(results_file, tmp_path,
+                                                                   capsys):
+    first = json.loads(results_file.read_text(encoding="utf-8").splitlines()[0])
+    lines = [json.dumps({**first, "snippet_id": f"small{i}", "nloc": 4}) for i in range(3)]
+    lines += [json.dumps({"snippet_id": f"big{i}", "nloc": 250, "failure": "refused"})
+              for i in range(2)]
+    results = tmp_path / "mixed.jsonl"
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert dispatch(["evaluate", "--results", str(results)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out[1:]] == [["1-100", "3"], ["201-350", "0"]]
+    assert out[1].endswith(" 0")
+    assert out[2] == f"{'201-350':>9} {0:>5} {'':>9} {'':>9} {'':>9} {2:>8}"
+
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    assert dispatch(["report", "--in", str(results), "--out", str(csv_path)]) == 0
+    assert dispatch(["report", "--in", str(results), "--format", "json",
+                     "--out", str(json_path)]) == 0
+    csv_rows, json_rows = read_report(csv_path), read_report(json_path, "json")
+    assert csv_rows == json_rows
+    assert [(row["band"], row["n"], row["failures"]) for row in csv_rows] == [
+        ("1-100", 3, 0), ("201-350", 0, 2)]
+    assert csv_path.read_text(encoding="utf-8").splitlines()[2].startswith("201-350,0,,,,")
+    assert [json_rows[1][k] for k in ("precision", "recall", "f1")] == [None, None, None]
+
+
+def _without_greedy(results_file, tmp_path):
+    rec = json.loads(results_file.read_text(encoding="utf-8").splitlines()[0])
+    del rec["scores"]["greedy-embedding"]
+    path = tmp_path / "no-greedy.jsonl"
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    return path
+
+
+# Whole-file faults, each as (the input: its text, a builder from the results
+# file, or None for that file as it is; argv; the library's message).
+_WHOLE_FILE_FAULTS = {
+    "kappa-empty": ("", lambda path: ["kappa", "--labels", str(path)],
+                    "need at least one annotated item"),
+    "kappa-blank-lines": ("\n \n\n", lambda path: ["kappa", "--labels", str(path)],
+                          "need at least one annotated item"),
+    "calibrate-empty": ("", lambda path: ["calibrate", "--pairs", str(path)],
+                        "empty calibration categories: twin-minimal, paraphrase-50, "
+                        "different-meaning"),
+    "evaluate-unknown-metric": (None, lambda path: ["evaluate", "--results", str(path),
+                                                    "--metric", "nope"],
+                                "records carry no scores for metric 'nope'"),
+    "report-without-greedy": (_without_greedy,
+                              lambda path: ["report", "--in", str(path),
+                                            "--out", str(path.with_suffix(".csv"))],
+                              "records carry no scores for metric 'greedy-embedding'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WHOLE_FILE_FAULTS))
+def test_whole_file_fault_exits_2_naming_the_file(results_file, tmp_path, capsys, case):
+    content, argv, message = _WHOLE_FILE_FAULTS[case]
+    if content is None:
+        path = results_file
+    elif callable(content):
+        path = content(results_file, tmp_path)
+    else:
+        path = tmp_path / "input.jsonl"
+        path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(argv(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # kappa / calibrate
 
@@ -756,6 +829,67 @@ def test_calibrate_mistyped_pair_exits_2_naming_path_and_line(tmp_path, capsys):
     assert dispatch(["calibrate", "--pairs", str(pairs)]) == 2
     expected = f"error: {pairs}: bad record on line 2: candidate 5 is not a string"
     assert expected in capsys.readouterr().err
+
+
+# One field of a line replaced by a value of each JSON type, or dropped. A
+# value the field takes runs to exit 0; any other is exit 2 with a message
+# naming the file and the line. No exception escapes `dispatch`.
+_DROP = object()
+_JSON_VALUES = st.sampled_from(
+    [None, True, False, 0, 7, 2**1024, 1.5, math.nan, math.inf, -math.inf, "", "\ud800",
+     [], ["x"], {}, {"k": "x"}, _DROP]) | st.text(max_size=8)
+
+
+def _run_with_mutated_line(tmp_path_factory, valid_lines, bad_index, field, value, argv):
+    """The input's path, and the exit code and stderr of `argv` on `valid_lines`
+    with line `bad_index`'s `field` set to `value` (or dropped); the path goes
+    where argv has None."""
+    lines = [dict(line) for line in valid_lines]
+    if value is _DROP:
+        del lines[bad_index][field]
+    else:
+        lines[bad_index][field] = value
+    path = tmp_path_factory.mktemp("mutated") / "input.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch([str(path) if arg is None else arg for arg in argv])
+    return path, code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["id", "a", "b"]), _JSON_VALUES)
+def test_labels_line_with_any_field_value_is_taken_or_reported(tmp_path_factory, field, value):
+    valid = [{"id": "first", "a": "x", "b": "x"}, {"id": "second", "a": "x", "b": "y"}]
+    path, code, err = _run_with_mutated_line(tmp_path_factory, valid, 1, field, value,
+                                             ["kappa", "--labels", None])
+    # Any hashable value is a label or an id; only a repeated id is refused.
+    if value is not _DROP and not isinstance(value, (list, dict)) and value != "first":
+        assert code == 0, err
+    else:
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: ") and "line 2" in err, err
+
+
+def _pair_value_taken(field, value) -> bool:
+    if field == "category":
+        return value in ("twin-minimal", "paraphrase-50", "different-meaning")
+    return type(value) is str and value not in ("", "\ud800")  # st.text draws no surrogate
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["candidate", "reference", "category"]), _JSON_VALUES)
+def test_calibration_pair_line_with_any_field_value_is_taken_or_reported(tmp_path_factory,
+                                                                         field, value):
+    valid = [{"candidate": "a b", "reference": "a c", "category": category}
+             for category in ("twin-minimal", "paraphrase-50", "different-meaning")]
+    path, code, err = _run_with_mutated_line(tmp_path_factory, valid, 2, field, value,
+                                             ["calibrate", "--pairs", None])
+    if _pair_value_taken(field, value):
+        assert code == 0, err
+    else:
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: ") and "line 3" in err, err
 
 
 # Each command's JSON Lines input, as argv for an input at `path`.

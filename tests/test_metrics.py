@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -142,11 +143,13 @@ def test_bleu_near_match_hand_value():
     assert abs(got - 0.2 ** 0.25) < 1e-12  # 4/5 * 3/4 * 2/3 * 1/2 = 0.2
 
 
-def test_bleu_empty_inputs_warn_and_return_zero():
-    with pytest.warns(RuntimeWarning):
-        assert bleu([], ["a"]) == 0.0
-    with pytest.warns(RuntimeWarning):
-        assert bleu(["a"], []) == 0.0
+def test_bleu_empty_inputs_return_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for smoothing in (False, True):
+            assert bleu([], ["a"], smoothing=smoothing) == 0.0
+            assert bleu(["a"], [], smoothing=smoothing) == 0.0
+            assert bleu([], [], smoothing=smoothing) == 0.0
 
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=10)
@@ -164,11 +167,7 @@ def _token_pairs(size):
 @given(st.sampled_from([1, 2, 4, 30]).flatmap(_token_pairs), st.booleans())
 def test_bleu_matches_oracle(pair, smoothing):
     candidate, reference = pair
-    if candidate and reference:
-        got = bleu(candidate, reference, smoothing=smoothing)
-    else:
-        with pytest.warns(RuntimeWarning):
-            got = bleu(candidate, reference, smoothing=smoothing)
+    got = bleu(candidate, reference, smoothing=smoothing)
     assert got == oracle_bleu_counted(candidate, reference, 4, smoothing)
     want = oracle_bleu(candidate, reference, 4, smoothing)
     assert abs(got - want) <= 1e-9

@@ -1,5 +1,6 @@
 """The installed package ships every bundled data file, and every bundled
-data file is read by the package.
+data file is read by the package. The package imports only numpy's public
+modules.
 
 Tests run from the source tree, where every file under `src/restory/data/`
 is found whether or not `pyproject.toml` lists it; an installed package
@@ -40,3 +41,29 @@ def test_every_bundled_data_file_is_named_by_the_package():
     orphans = sorted(str(path.relative_to(package)) for path in bundled
                      if path.name not in literals)
     assert orphans == []
+
+
+def _imported_modules(tree: ast.AST):
+    """Each module path an import in `tree` names; `from a import b` names
+    both `a` and `a.b`, since `b` may be a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _private_numpy(module: str) -> bool:
+    parts = module.split(".")
+    return parts[0] == "numpy" and (parts[1:2] == ["core"]
+                                    or any(part.startswith("_") for part in parts[1:]))
+
+
+def test_package_imports_no_private_numpy_module():
+    package = ROOT / "src" / "restory"
+    found = sorted(f"{path.name}: {module}"
+                   for path in package.glob("*.py")
+                   for module in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                   if _private_numpy(module))
+    assert found == []

@@ -210,12 +210,6 @@ def test_estimate_tokens_monotone_in_prefix(prefix, suffix):
     assert estimate_tokens(prefix) <= estimate_tokens(prefix + suffix)
 
 
-def _check_template(monkeypatch, loader, text: str) -> str:
-    """Run `loader`'s checks on `text` in place of its bundled file."""
-    monkeypatch.setattr(prompts, "_data_text", lambda name: text)
-    return loader.__wrapped__()
-
-
 def test_directive_loader_requires_text(monkeypatch):
     monkeypatch.setattr(prompts, "_data_text", lambda name: "")
     with pytest.raises(DataError, match="^directive must be non-empty$"):
@@ -223,9 +217,9 @@ def test_directive_loader_requires_text(monkeypatch):
 
 
 def test_scot_block_loader_requires_primitives(monkeypatch):
-    text = "Think about the sequence and each branch.\n"
+    monkeypatch.setattr(prompts, "_data_text", lambda name: "Think about the sequence and each branch.\n")
     with pytest.raises(DataError, match="^reasoning block missing primitives: loop$"):
-        _check_template(monkeypatch, load_scot_block, text)
+        load_scot_block()
 
 
 def test_default_scot_block_names_all_primitives():

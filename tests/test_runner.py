@@ -456,6 +456,9 @@ def test_records_reject_nloc_outside_the_design_range(nloc):
 def test_band_aggregate_n_must_be_positive():
     with pytest.raises(DataError, match="aggregate n must be positive"):
         BandAggregate("1-100", 1, 100, 0, 0.5, 0.5, 0.5)
+    with pytest.raises(DataError, match="aggregate n must be positive"):
+        BandAggregate("1-100", 1, 100, -1, None, None, None, failures=1)
+    assert BandAggregate("1-100", 1, 100, 0, None, None, None, failures=1).n == 0
 
 
 def test_constant_band_mean():
@@ -512,8 +515,10 @@ def test_failures_counted_separately():
     records = [_record("ok", 50, 0.9, 0.9)]
     failures = [FailureRecord("down", 60, "transient"), FailureRecord("down2", 150, "transient")]
     aggs = aggregate_by_band(records, "coarse3", failures=failures)
-    assert aggs[0].failures == 1  # only the 1-100 failure lands in a populated band
-    assert aggs[0].n == 1
+    # The 101-200 failure has a band of its own, with no record and no means.
+    assert [(a.band_label, a.n, a.failures) for a in aggs] == [("1-100", 1, 1),
+                                                               ("101-200", 0, 1)]
+    assert (aggs[1].mean_precision, aggs[1].mean_recall, aggs[1].mean_f1) == (None, None, None)
 
 
 def test_aggregate_rejects_empty_and_bad_scheme():
