@@ -285,11 +285,12 @@ def _cmd_generate(args) -> int:
         budget_usd=manifest.budget_usd,
         concurrency=manifest.concurrency,
     ) as gateway:
-        for variant, config in zip(variants, configs):
+        for config in configs:
+            variant = config.label
             results_path = (base_dir / variant if args.grid else base_dir) / "results.jsonl"
             try:
                 result = runner.run_experiment(dataset, gateway, config, embedder=embedder,
-                                               results_path=results_path, prompt_label=variant)
+                                               results_path=results_path)
             except BudgetExceededError:
                 kept = results_path.read_bytes().count(b"\n")
                 print(f"{variant}: cut by the budget after {kept} of {len(dataset)} records",
@@ -336,6 +337,10 @@ def _mean_cell(mean: float | None) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import runner
+    if args.metric not in runner.METRICS:  # before the results file is read
+        raise UsageError(f"restory evaluate: error: argument --metric: invalid choice: "
+                         f"{args.metric!r} (choose from {', '.join(map(repr, runner.METRICS))})")
     rows = _report_rows(args.results, args.scheme, args.metric)
     lines = [f"{'band':>9} {'n':>5} {'precision':>9} {'recall':>9} {'f1':>9} {'failures':>8}"]
     for row in rows:

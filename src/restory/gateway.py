@@ -1,7 +1,8 @@
 """Uniform gateway to chat-completion providers.
 
 Wraps any provider behind one `complete()` call with deterministic
-response caching (key = digest of model + decoding config + prompt text),
+response caching (key = digest of model + decoding config + the
+provider's identity, when it has one + prompt text),
 bounded retries with exponential backoff on transient failures, an
 append-only cost ledger, and an optional per-invocation budget ceiling.
 
@@ -9,7 +10,9 @@ A provider is any object with
     generate(model_id: str, prompt_text: str, config: GenerationConfig)
         -> ProviderResponse
 raising TransientProviderError to get a retry; any other GatewayError is a
-permanent failure, recorded for that entry. Credentials travel via
+permanent failure, recorded for that entry. A provider whose replies are
+not the model's (`EchoProvider`, `StaticProvider`) has an `identity`
+string, so that its cache entries answer it alone. Credentials travel via
 environment variables only.
 """
 
@@ -247,6 +250,9 @@ class StaticProvider:
 
     def __init__(self, text: str):
         self.text = text
+        # A text with no UTF-8 form has an identity too; each call refuses it.
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+        self.identity = f"static:{digest}"
 
     def generate(self, model_id: str, prompt_text: str, config: GenerationConfig) -> ProviderResponse:
         return ProviderResponse(text=self.text)
@@ -258,6 +264,8 @@ class EchoProvider:
     hermetic runs where the "model" should echo each snippet's reference
     story.
     """
+
+    identity = "echo"
 
     def __init__(self, completion_by_code: dict[str, str]):
         self._completions = {
@@ -363,16 +371,20 @@ class Gateway:
         self.spent_usd = 0.0
         self.provider_calls = 0
         # The cache key hashes the `dumps` of the model id, the decoding
-        # config and the prompt. Only the prompt varies, so the bytes before
-        # and after its JSON string are fixed here, once.
-        head, _, tail = dumps({
+        # config, the provider's identity when it has one, and the prompt.
+        # Only the prompt varies, so the bytes before and after its JSON
+        # string are fixed here, once.
+        keyed = {
             "model": self.model.model_id,
             "temperature": self.config.temperature,
             "min_output_tokens": self.config.min_output_tokens,
             "repetition_penalty": self.config.repetition_penalty,
             "max_output_tokens": self.config.max_output_tokens,
             "prompt": "",
-        }).partition('"prompt": ""')
+        }
+        if (identity := getattr(provider, "identity", None)) is not None:
+            keyed["provider"] = identity
+        head, _, tail = dumps(keyed).partition('"prompt": ""')
         self._key_prefix = hashlib.sha256((head + '"prompt": ').encode("utf-8"))
         self._key_suffix = tail.encode("utf-8")
 
@@ -500,7 +512,7 @@ class Gateway:
             output_tokens = (
                 response.output_tokens
                 if response.output_tokens is not None
-                else (estimate_tokens(response.text) if response.text else 0)
+                else estimate_tokens(response.text)
             )
             cost = estimate_cost(input_tokens, output_tokens, self.model)
         finally:

@@ -30,14 +30,14 @@ from .jsonl import decoder, dumps, read_jsonl
 # Each shot mode and the fewest and most exemplars it shows.
 SHOT_MODES = {"zero": (0, 0), "one": (1, 1), "few": (1, math.inf)}
 
-PROMPT_VARIANTS = {
-    "zero": ("zero", False),
-    "zero-scot": ("zero", True),
-    "one": ("one", False),
-    "one-scot": ("one", True),
-    "few": ("few", False),
-    "few-scot": ("few", True),
-}
+
+def _variant(shots: str, scot: bool) -> str:
+    """A variant's name: its shot mode, with "-scot" when it shows the reasoning block."""
+    return f"{shots}-scot" if scot else shots
+
+
+PROMPT_VARIANTS = {_variant(shots, scot): (shots, scot)
+                   for shots in SHOT_MODES for scot in (False, True)}
 
 SCOT_PRIMITIVES = ("sequence", "branch", "loop")
 
@@ -49,10 +49,8 @@ def _data_text(name: str) -> str:
 
 
 def estimate_tokens(text: str) -> int:
-    """Rough token count: ceil(characters / 4). Monotone in length; not a
-    provider-exact tokenizer."""
-    if not text:
-        raise DataError("cannot estimate tokens of empty text")
+    """Rough token count: ceil(characters / 4), so 0 for empty text.
+    Monotone in length; not a provider-exact tokenizer."""
     return math.ceil(len(text) / 4)
 
 
@@ -90,6 +88,11 @@ class PromptConfig:
                 f"exemplar count mismatch: a {self.shots!r} prompt takes "
                 f"{fewest if fewest == most else f'at least {fewest}'}, got {len(self.exemplars)}"
             )
+
+    @property
+    def label(self) -> str:
+        """The name of this config's variant in PROMPT_VARIANTS."""
+        return _variant(self.shots, self.scot)
 
     @cached_property  # the config is frozen: each language's frame is built once
     def _frames(self) -> dict[str, str]:

@@ -113,13 +113,13 @@ class GenerationRecord:
     scot: bool = False
 
     def __post_init__(self):
-        if GREEDY_METRIC in self.scores:
-            expected = classify_fidelity(self.scores[GREEDY_METRIC].f1)
-            if self.band is not expected:
-                raise DataError(
-                    f"record {self.snippet_id}: band {self.band.value} inconsistent "
-                    f"with {GREEDY_METRIC} f1"
-                )
+        if GREEDY_METRIC not in self.scores:  # the score the band is classified by
+            raise DataError(f"record {self.snippet_id}: no {GREEDY_METRIC} scores")
+        if self.band is not classify_fidelity(self.scores[GREEDY_METRIC].f1):
+            raise DataError(
+                f"record {self.snippet_id}: band {self.band.value} inconsistent "
+                f"with {GREEDY_METRIC} f1"
+            )
         stratum_for_nloc(self.nloc)
         if not 0.0 <= self.cost_usd < math.inf:
             raise DataError(f"cost_usd must be finite and >= 0, got {self.cost_usd}")
@@ -207,7 +207,6 @@ def run_experiment(
     embedder=None,
     metric_names: Sequence[str] = DEFAULT_METRICS,
     results_path: str | Path | None = None,
-    prompt_label: str = "",
 ) -> RunResult:
     """Generate and score one candidate story per dataset entry.
 
@@ -217,6 +216,7 @@ def run_experiment(
     flushing everything completed so far. Records are written (and
     returned) in dataset order at any `gateway.concurrency`. The result's
     cost and provider calls are this run's own, on a gateway a grid shares.
+    Each record names its variant by `prompt_config.label`.
     """
     if not dataset:
         raise DataError("dataset is empty")
@@ -255,7 +255,7 @@ def run_experiment(
             nloc=entry.snippet.nloc,
             model_id=gateway.model.model_id,
             prompt_fingerprint=prompt_config.fingerprint,
-            prompt_label=prompt_label,
+            prompt_label=prompt_config.label,
             scot=prompt_config.scot,
             candidate_story=candidate,
             scores=scores,
@@ -319,9 +319,7 @@ def run_experiment(
 
 @dataclass(frozen=True)
 class BandAggregate:
-    band_label: str
-    lower: int
-    upper: int
+    band_label: str  # a band's label in corpus.BANDS
     n: int
     mean_precision: float | None  # None in a band of failures alone (n 0)
     mean_recall: float | None
@@ -362,14 +360,11 @@ def aggregate_by_band(
 
     out: list[BandAggregate] = []
     for idx in sorted(grouped.keys() | failed.keys()):
-        label, lo, hi = bands[idx]
         triples = grouped.get(idx, ())
         n = len(triples)
         out.append(
             BandAggregate(
-                band_label=label,
-                lower=lo,
-                upper=hi,
+                band_label=bands[idx][0],
                 n=n,
                 mean_precision=sum(t.precision for t in triples) / n if n else None,
                 mean_recall=sum(t.recall for t in triples) / n if n else None,

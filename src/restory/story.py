@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError
 
@@ -23,9 +23,7 @@ _STORY_RE = re.compile(
 class UserStory:
     role: str
     goal: str
-    benefit: str | None
-    raw_text: str
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    benefit: str | None  # None when the story has no "so that" clause
 
     def __post_init__(self):
         if not self.role:
@@ -34,31 +32,28 @@ class UserStory:
             raise DataError("story goal must be non-empty")
 
 
-def _story_from_match(m: re.Match, raw_text: str) -> UserStory:
+def _story_from_match(m: re.Match) -> UserStory:
     benefit = m.group("benefit")
-    warnings = () if benefit is not None else ("benefit clause missing",)
     return UserStory(
         role=m.group("role").strip(),
         goal=m.group("goal").strip(),
         benefit=benefit.strip() if benefit is not None else None,
-        raw_text=raw_text,
-        warnings=warnings,
     )
 
 
 def parse_story(text: str) -> UserStory:
-    """Parse the first complete story in `text`; the input is kept verbatim
-    in raw_text. A missing benefit clause is flagged as a warning; text
-    without any "As a ... I want" clause raises DataError."""
+    """Parse the first complete story in `text`; a story without a benefit
+    clause has benefit None, and text without any "As a ... I want" clause
+    raises DataError."""
     m = _STORY_RE.search(text)
     if m is None:
         raise DataError("no user story clause found")
-    return _story_from_match(m, text)
+    return _story_from_match(m)
 
 
 def parse_stories(text: str) -> list[UserStory]:
     """All stories found in `text`, in order; empty when none parse."""
-    return [_story_from_match(m, text) for m in _STORY_RE.finditer(text)]
+    return [_story_from_match(m) for m in _STORY_RE.finditer(text)]
 
 
 def canonical_text(story: UserStory) -> str:

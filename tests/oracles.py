@@ -140,17 +140,21 @@ def oracle_greedy_embedding_score(candidate, reference):
     return ScoreTriple.from_pr(precision, recall)
 
 
-def oracle_cache_key(model_id: str, config, prompt_text: str) -> str:
+def oracle_cache_key(model_id: str, config, prompt_text: str, identity: str | None = None) -> str:
     """The gateway cache key as derived from one sorted-keys JSON payload
-    per call, before the fixed prefix and suffix were precomputed."""
-    payload = json.dumps({
+    per call, before the fixed prefix and suffix were precomputed; a
+    provider `identity`, when given, is one more key of the payload."""
+    payload = {
         "model": model_id,
         "temperature": config.temperature,
         "min_output_tokens": config.min_output_tokens,
         "repetition_penalty": config.repetition_penalty,
         "max_output_tokens": config.max_output_tokens,
         "prompt": prompt_text,
-    }, sort_keys=True, ensure_ascii=False)
+    }
+    if identity is not None:
+        payload["provider"] = identity
+    payload = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

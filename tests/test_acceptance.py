@@ -306,8 +306,7 @@ def test_end_to_end_hermetic_run(tmp_path):
                                         cache_dir=tmp_path / "cache",
                                         sleep=lambda s: None))
     first_path = tmp_path / "echo-cold.jsonl"
-    cold = run_experiment(dataset, gateway, config, results_path=first_path,
-                          prompt_label="zero")
+    cold = run_experiment(dataset, gateway, config, results_path=first_path)
     assert len(cold.records) == 35
     assert all(rec.band is FidelityBand.FAITHFUL for rec in cold.records)
     assert all(rec.scores["greedy-embedding"].f1 > 1 - 1e-9 for rec in cold.records)
@@ -322,8 +321,7 @@ def test_end_to_end_hermetic_run(tmp_path):
                                                 cache_dir=tmp_path / "garbage-cache",
                                                 sleep=lambda s: None))
     divergent = run_experiment(dataset, garbage_gateway, config,
-                               embedder=OneHotEmbedder(sorted(vocab)),
-                               prompt_label="zero")
+                               embedder=OneHotEmbedder(sorted(vocab)))
     assert all(rec.band is FidelityBand.DIVERGENT for rec in divergent.records)
 
     # warm rerun: zero provider calls, byte-identical results
@@ -332,8 +330,7 @@ def test_end_to_end_hermetic_run(tmp_path):
                                              cache_dir=tmp_path / "cache",
                                              sleep=lambda s: None))
     second_path = tmp_path / "echo-warm.jsonl"
-    warm = run_experiment(dataset, warm_gateway, config, results_path=second_path,
-                          prompt_label="zero")
+    warm = run_experiment(dataset, warm_gateway, config, results_path=second_path)
     assert echo.calls == calls_before
     assert warm.provider_calls == 0
     assert first_path.read_bytes() == second_path.read_bytes()

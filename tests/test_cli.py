@@ -12,10 +12,10 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from restory.cli import RunManifest, dispatch, parse_manifest
-from restory.corpus import DatasetRecord, save_dataset
+from restory.corpus import DatasetRecord, record_to_json, save_dataset
 
 from conftest import (
     ledger_cost, make_cpp_source, make_dataset, read_report, snippet_from_source, write_manifest,
@@ -38,8 +38,10 @@ def test_unknown_flag_exits_1(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["calibrate", "--dim", "0"], ["calibrate", "--dim", "-3"], ["calibrate", "--dim", "x"],
-     ["sample", "--in", "d.jsonl", "--seed", "1", "--per-stratum", "0"]],
-    ids=["dim-zero", "dim-negative", "dim-not-a-number", "per-stratum-zero"],
+     ["sample", "--in", "d.jsonl", "--seed", "1", "--per-stratum", "0"],
+     # refused before the results file, which does not exist, is read
+     ["evaluate", "--results", "missing.jsonl", "--metric", "nope"]],
+    ids=["dim-zero", "dim-negative", "dim-not-a-number", "per-stratum-zero", "metric-unknown"],
 )
 def test_flag_value_below_one_exits_1(capsys, argv):
     assert dispatch(argv) == 1
@@ -291,6 +293,22 @@ def test_generate_static_provider_divergent(dataset_35, tmp_path):
     lines = (tmp_path / "garbage" / "results.jsonl").read_text().splitlines()
     assert all(json.loads(l)["band"] == "divergent" for l in lines)
     assert all(json.loads(l)["parse_fallback"] for l in lines)
+
+
+def test_a_static_run_is_not_served_the_cached_replies_of_an_echo_run(dataset_35, tmp_path,
+                                                                     capsys):
+    cache = tmp_path / "shared-cache"
+    echo = write_manifest(tmp_path, dataset_35, out_name="echo", cache_dir=cache)
+    static = write_manifest(tmp_path, dataset_35, out_name="static", cache_dir=cache,
+                            provider="static:the quarterly maintenance window moved again")
+    assert dispatch(["generate", "--manifest", str(echo)]) == 0
+    capsys.readouterr()
+    assert dispatch(["generate", "--manifest", str(static)]) == 0
+    assert "zero: 35 records, 0 failures, 35 provider calls" in capsys.readouterr().err
+    lines = (tmp_path / "static" / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    assert all(json.loads(line)["band"] == "divergent" for line in lines)
+    assert dispatch(["generate", "--manifest", str(echo)]) == 0  # its own entries still hit
+    assert "zero: 35 records, 0 failures, 0 provider calls" in capsys.readouterr().err
 
 
 def test_generate_grid_expands_six_variants(tmp_path, capsys):
@@ -663,6 +681,10 @@ _BAD_RESULT_LINES = {
     "lone-surrogate-story": (lambda rec: {**rec, "candidate_story": "ab\ud800"},
                              "bad record on line 2: candidate_story has no UTF-8 form: "
                              "a lone surrogate at index 2"),
+    "without-greedy": (lambda rec: {**rec, "snippet_id": "x", "scores": {
+                           name: t for name, t in rec["scores"].items()
+                           if name != "greedy-embedding"}},
+                       "bad record on line 2: record x: no greedy-embedding scores"),
 }
 
 
@@ -733,16 +755,8 @@ def test_band_of_failures_alone_gets_a_row_in_evaluate_and_report(results_file, 
     assert [json_rows[1][k] for k in ("precision", "recall", "f1")] == [None, None, None]
 
 
-def _without_greedy(results_file, tmp_path):
-    rec = json.loads(results_file.read_text(encoding="utf-8").splitlines()[0])
-    del rec["scores"]["greedy-embedding"]
-    path = tmp_path / "no-greedy.jsonl"
-    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-    return path
-
-
-# Whole-file faults, each as (the input: its text, a builder from the results
-# file, or None for that file as it is; argv; the library's message).
+# Whole-file faults, each as (the input: its text, or None for the results
+# file as it is; argv; the library's message).
 _WHOLE_FILE_FAULTS = {
     "kappa-empty": ("", lambda path: ["kappa", "--labels", str(path)],
                     "need at least one annotated item"),
@@ -751,13 +765,9 @@ _WHOLE_FILE_FAULTS = {
     "calibrate-empty": ("", lambda path: ["calibrate", "--pairs", str(path)],
                         "empty calibration categories: twin-minimal, paraphrase-50, "
                         "different-meaning"),
-    "evaluate-unknown-metric": (None, lambda path: ["evaluate", "--results", str(path),
-                                                    "--metric", "nope"],
-                                "records carry no scores for metric 'nope'"),
-    "report-without-greedy": (_without_greedy,
-                              lambda path: ["report", "--in", str(path),
-                                            "--out", str(path.with_suffix(".csv"))],
-                              "records carry no scores for metric 'greedy-embedding'"),
+    "evaluate-unscored-metric": (None, lambda path: ["evaluate", "--results", str(path),
+                                                     "--metric", "rouge-l-nostem"],
+                                 "records carry no scores for metric 'rouge-l-nostem'"),
 }
 
 
@@ -766,8 +776,6 @@ def test_whole_file_fault_exits_2_naming_the_file(results_file, tmp_path, capsys
     content, argv, message = _WHOLE_FILE_FAULTS[case]
     if content is None:
         path = results_file
-    elif callable(content):
-        path = content(results_file, tmp_path)
     else:
         path = tmp_path / "input.jsonl"
         path.write_text(content, encoding="utf-8")
@@ -843,12 +851,16 @@ _JSON_VALUES = st.sampled_from(
 def _run_with_mutated_line(tmp_path_factory, valid_lines, bad_index, field, value, argv):
     """The input's path, and the exit code and stderr of `argv` on `valid_lines`
     with line `bad_index`'s `field` set to `value` (or dropped); the path goes
-    where argv has None."""
+    where argv has None. A tuple `field` is the path of keys to a nested field."""
     lines = [dict(line) for line in valid_lines]
+    *parents, key = (field,) if isinstance(field, str) else field
+    target = lines[bad_index]
+    for parent in parents:
+        target = target[parent] = dict(target[parent])
     if value is _DROP:
-        del lines[bad_index][field]
+        del target[key]
     else:
-        lines[bad_index][field] = value
+        target[key] = value
     path = tmp_path_factory.mktemp("mutated") / "input.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     err = io.StringIO()
@@ -890,6 +902,48 @@ def test_calibration_pair_line_with_any_field_value_is_taken_or_reported(tmp_pat
     else:
         assert code == 2, err
         assert err.startswith(f"error: {path}: ") and "line 3" in err, err
+
+
+def _exit_0_or_2_naming_the_line(path, code, err, lineno):
+    if code != 0:
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: ") and f"line {lineno}" in err, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["id", "language", "code", "nloc", "stratum", "reference_story"]),
+       _JSON_VALUES)
+def test_dataset_line_with_any_field_value_is_taken_or_reported(tmp_path_factory, field, value):
+    valid = [json.loads(record_to_json(record)) for record in make_dataset([15, 5])]
+    path, code, err = _run_with_mutated_line(tmp_path_factory, valid, 1, field, value,
+                                             ["sample", "--in", None, "--per-stratum", "1",
+                                              "--seed", "1"])
+    _exit_0_or_2_naming_the_line(path, code, err, 2)
+
+
+_TRIPLE = {"precision": 0.5, "recall": 0.5, "f1": 0.5}
+_RESULT_LINE = {
+    "snippet_id": "a", "nloc": 5, "model_id": "llama-3.1-8b", "prompt_fingerprint": "fp",
+    "prompt_label": "zero", "scot": False, "candidate_story": "As a user, I want x.",
+    "scores": {"greedy-embedding": {"precision": 1.0, "recall": 1.0, "f1": 1.0},
+               "bleu": _TRIPLE, "rouge-l": _TRIPLE},
+    "band": "faithful", "cost_usd": 0.001, "parse_fallback": False, "multi_story": False,
+}
+_RESULT_FIELDS = [*_RESULT_LINE, *(("scores", name) for name in _RESULT_LINE["scores"]),
+                  *(("scores", name, part) for name in _RESULT_LINE["scores"] for part in _TRIPLE)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["evaluate", "report"]), st.sampled_from(_RESULT_FIELDS), _JSON_VALUES)
+@example("report", ("scores", "greedy-embedding"), _DROP)
+@example("evaluate", "scores", {})
+def test_results_line_with_any_field_value_is_taken_or_reported(tmp_path_factory, command,
+                                                                field, value):
+    valid = [_RESULT_LINE, {**_RESULT_LINE, "snippet_id": "b", "nloc": 150}]
+    argv = (["evaluate", "--results", None] if command == "evaluate"
+            else ["report", "--in", None, "--out", str(tmp_path_factory.mktemp("out") / "r.csv")])
+    path, code, err = _run_with_mutated_line(tmp_path_factory, valid, 1, field, value, argv)
+    _exit_0_or_2_naming_the_line(path, code, err, 2)
 
 
 # Each command's JSON Lines input, as argv for an input at `path`.

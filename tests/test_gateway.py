@@ -162,16 +162,23 @@ _KEY_TEXT = st.one_of(
 )
 
 
+# A provider without an identity, and one with each kind of identity.
+_SHA256_OF_A = "559aead08264d5795d3909718cdd05abd49572e84fe55590eef31a88a08fdffd"
+_KEY_PROVIDERS = [(CountingProvider(), None), (EchoProvider({}), "echo"),
+                  (StaticProvider("A"), f"static:{_SHA256_OF_A}")]
+
+
 @settings(max_examples=200)
-@given(st.sampled_from(_KEY_CONFIGS), _KEY_TEXT)
+@given(st.sampled_from(_KEY_CONFIGS), st.sampled_from(_KEY_PROVIDERS), _KEY_TEXT)
 def test_cache_key_equals_the_whole_payload_derivation(tmp_path_factory, model_and_config,
-                                                      prompt):
+                                                      provider_and_identity, prompt):
     model, config = model_and_config
+    provider, identity = provider_and_identity
     # Never written: no completion is made.
-    gateway = Gateway(CountingProvider(), model, config,
+    gateway = Gateway(provider, model, config,
                       cache_dir=tmp_path_factory.getbasetemp() / "unused-cache")
     try:
-        want = oracle_cache_key(model.model_id, config, prompt)
+        want = oracle_cache_key(model.model_id, config, prompt, identity)
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
         with pytest.raises(UnicodeEncodeError):
             gateway._cache_key(prompt)
@@ -191,6 +198,19 @@ def test_cache_keys_of_fixed_prompts_are_pinned(tmp_path, prompt, key):
     # Keys name the entries of existing caches, so they never change.
     gateway = Gateway(CountingProvider(), MODEL, cache_dir=tmp_path / "unused-cache")
     assert gateway._cache_key(prompt) == key
+
+
+def test_a_cache_entry_answers_only_the_provider_identity_that_wrote_it(tmp_path):
+    assert _gateway(StaticProvider("A"), tmp_path).complete("p").text == "A"
+    other = _gateway(StaticProvider("B"), tmp_path)
+    missed = other.complete("p")
+    assert (missed.text, missed.cached, other.provider_calls) == ("B", False, 1)
+    echo = _gateway(EchoProvider({"x": "from echo"}), tmp_path)
+    with pytest.raises(GatewayError, match="no canned completion"):
+        echo.complete("p")  # a miss too: no prompted code to echo
+    again = _gateway(StaticProvider("A"), tmp_path)
+    hit = again.complete("p")
+    assert (hit.text, hit.cached, again.provider_calls) == ("A", True, 0)
 
 
 def test_cache_idempotence_under_concurrency(tmp_path):

@@ -128,7 +128,7 @@ def test_golden_run_is_byte_identical(tmp_path):
         with Gateway(provider, model_spec("llama-3.1-8b"), GenerationConfig(min_output_tokens=1),
                      cache_dir=tmp_path / "cache") as gateway:
             run_experiment(dataset, gateway, config, embedder=embedder, metric_names=METRICS,
-                           results_path=path, prompt_label=variant)
+                           results_path=path)
         digests[variant] = _sha(path)
         records.extend(load_results(path)[0])
 

@@ -37,6 +37,12 @@ def test_six_variants_have_distinct_fingerprints():
     assert len(set(prints.values())) == 6
 
 
+def test_each_variant_is_named_by_its_config_label():
+    configs = [_config(name) for name in PROMPT_VARIANTS]
+    assert PROMPT_VARIANTS == {config.label: (config.shots, config.scot) for config in configs}
+    assert list(PROMPT_VARIANTS) == ["zero", "zero-scot", "one", "one-scot", "few", "few-scot"]
+
+
 def test_zero_shot_plain_has_no_exemplars_or_reasoning():
     snippet = make_snippet("s", 5)
     rendered = render_prompt(_config("zero"), snippet)
@@ -198,11 +204,10 @@ def test_token_envelope_small_zero_vs_large_few_scot():
     assert estimate_tokens(small.text) < estimate_tokens(large.text)
 
 
-def test_estimate_tokens_formula_and_errors():
+def test_estimate_tokens_formula():
     assert estimate_tokens("x" * 400) == 100
     assert estimate_tokens("abc") == 1
-    with pytest.raises(DataError):
-        estimate_tokens("")
+    assert estimate_tokens("") == 0
 
 
 @given(st.text(min_size=1, max_size=200), st.text(max_size=100))

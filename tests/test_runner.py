@@ -13,9 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restory.corpus import CodeSnippet, DatasetRecord
+from restory.corpus import BANDS, CodeSnippet, DatasetRecord
 from restory.errors import DataError, GatewayError
-from restory.gateway import BudgetExceededError, Gateway, ModelSpec
+from restory.gateway import BudgetExceededError, Gateway, ModelSpec, StaticProvider
 from restory.jsonl import csv_text
 from restory.metrics import FidelityBand, HashEmbedder, ScoreTriple, tokenize
 from restory.prompts import default_prompt_config, render_prompt
@@ -118,7 +118,7 @@ def test_echo_run_is_all_faithful(tmp_path):
     dataset = make_dataset([5, 150, 349])
     provider = EchoByPrompt(dataset)
     result = run_experiment(dataset, _gateway(provider, tmp_path),
-                            default_prompt_config("zero"), prompt_label="zero")
+                            default_prompt_config("zero"))
     assert len(result.records) == 3
     assert all(rec.band is FidelityBand.FAITHFUL for rec in result.records)
     assert all(rec.scores["greedy-embedding"].f1 > 1 - 1e-9 for rec in result.records)
@@ -137,7 +137,6 @@ def test_garbage_run_is_all_divergent(tmp_path):
         _gateway(CountingProvider(garbage), tmp_path),
         default_prompt_config("zero"),
         embedder=OneHotEmbedder(sorted(vocab)),
-        prompt_label="zero",
     )
     assert all(rec.band is FidelityBand.DIVERGENT for rec in result.records)
     assert all(rec.parse_fallback for rec in result.records)  # garbage has no story clause
@@ -151,10 +150,10 @@ def test_warm_rerun_zero_provider_calls_and_identical_bytes(tmp_path):
     second_path = tmp_path / "second.jsonl"
 
     cold = run_experiment(dataset, _gateway(provider, tmp_path), config,
-                          results_path=first_path, prompt_label="one")
+                          results_path=first_path)
     calls_after_cold = provider.calls
     warm = run_experiment(dataset, _gateway(provider, tmp_path), config,
-                          results_path=second_path, prompt_label="one")
+                          results_path=second_path)
     assert provider.calls == calls_after_cold  # zero new provider calls
     assert warm.provider_calls == 0
     assert first_path.read_bytes() == second_path.read_bytes()
@@ -232,6 +231,10 @@ def test_a_reply_without_a_utf8_form_is_a_failure_record(tmp_path):
         "provider reply has no UTF-8 form: a lone surrogate at index 5")
     assert load_results(tmp_path / "results.jsonl") == ([], result.failures)
     assert not list((tmp_path / "cache").glob("*.json"))
+    static = StaticProvider("As a \ud800, I want x.")  # has an identity, as any text does
+    static_run = run_experiment(make_dataset([5]), _gateway(static, tmp_path / "static"),
+                                default_prompt_config("zero"))
+    assert static_run.failures == result.failures[:1]
 
 
 def test_budget_abort_saves_partial_results(tmp_path):
@@ -281,9 +284,9 @@ def test_concurrent_run_matches_serial(tmp_path):
     dataset = make_dataset([5, 15, 25, 35, 45, 55])
     provider = EchoByPrompt(dataset)
     serial = run_experiment(dataset, _gateway(provider, tmp_path / "a"),
-                            default_prompt_config("zero"), prompt_label="zero")
+                            default_prompt_config("zero"))
     threaded = run_experiment(dataset, _gateway(provider, tmp_path / "b", concurrency=4),
-                              default_prompt_config("zero"), prompt_label="zero")
+                              default_prompt_config("zero"))
     assert [r.snippet_id for r in threaded.records] == [r.snippet_id for r in serial.records]
     assert threaded.records == serial.records
 
@@ -304,7 +307,7 @@ class RejectingEchoByPrompt(EchoByPrompt):
 def _serial_bytes(dataset, provider, tmp_path) -> bytes:
     path = tmp_path / "serial.jsonl"
     run_experiment(dataset, _gateway(provider, tmp_path / "serial"),
-                   default_prompt_config("zero"), results_path=path, prompt_label="zero")
+                   default_prompt_config("zero"), results_path=path)
     return path.read_bytes()
 
 
@@ -317,7 +320,7 @@ def test_concurrent_budget_abort_leaves_a_prefix_of_the_serial_file(tmp_path):
                        concurrency=2)
     with pytest.raises(BudgetExceededError):
         run_experiment(dataset, gateway, default_prompt_config("zero"),
-                       results_path=tmp_path / "partial.jsonl", prompt_label="zero")
+                       results_path=tmp_path / "partial.jsonl")
     partial = (tmp_path / "partial.jsonl").read_bytes()
     assert serial.startswith(partial)
     assert len(partial.splitlines()) < len(dataset)
@@ -330,8 +333,7 @@ def test_concurrent_failures_are_written_in_place_like_the_serial_run(tmp_path):
     result = run_experiment(dataset,
                             _gateway(RejectingEchoByPrompt(dataset, rejected), tmp_path / "pool",
                                      concurrency=3),
-                            default_prompt_config("zero"), results_path=tmp_path / "pool.jsonl",
-                            prompt_label="zero")
+                            default_prompt_config("zero"), results_path=tmp_path / "pool.jsonl")
     assert (tmp_path / "pool.jsonl").read_bytes() == serial
     assert [f.snippet_id for f in result.failures] == [rec.snippet.id for rec in rejected]
     assert len(result.records) == len(dataset) - len(rejected)
@@ -353,7 +355,7 @@ def test_concurrency_bounds_calls_in_flight_while_the_next_entry_waits_ready(tmp
     with ThreadPoolExecutor(max_workers=1) as background:
         try:
             run = background.submit(run_experiment, dataset, gateway, config,
-                                    results_path=tmp_path / "pool.jsonl", prompt_label="zero")
+                                    results_path=tmp_path / "pool.jsonl")
             wait_until(lambda: provider.in_flight == concurrency and len(probed) == len(ready))
             time.sleep(0.05)  # room for a call beyond the limit to start, were it allowed
             assert provider.in_flight == concurrency
@@ -455,10 +457,10 @@ def test_records_reject_nloc_outside_the_design_range(nloc):
 
 def test_band_aggregate_n_must_be_positive():
     with pytest.raises(DataError, match="aggregate n must be positive"):
-        BandAggregate("1-100", 1, 100, 0, 0.5, 0.5, 0.5)
+        BandAggregate("1-100", 0, 0.5, 0.5, 0.5)
     with pytest.raises(DataError, match="aggregate n must be positive"):
-        BandAggregate("1-100", 1, 100, -1, None, None, None, failures=1)
-    assert BandAggregate("1-100", 1, 100, 0, None, None, None, failures=1).n == 0
+        BandAggregate("1-100", -1, None, None, None, failures=1)
+    assert BandAggregate("1-100", 0, None, None, None, failures=1).n == 0
 
 
 def test_constant_band_mean():
@@ -505,8 +507,11 @@ def test_coarse_equals_weighted_per_stratum_means():
     coarse = aggregate_by_band(records, "coarse3")
     fine = aggregate_by_band(records, "per-stratum")
     assert sum(a.n for a in coarse) == len(records) == sum(a.n for a in fine)
+    bounds = {label: (lower, upper) for bands in BANDS.values() for label, lower, upper in bands}
     for agg in coarse:
-        members = [f for f in fine if agg.lower <= f.lower and f.upper <= agg.upper]
+        lower, upper = bounds[agg.band_label]
+        members = [f for f in fine
+                   if lower <= bounds[f.band_label][0] and bounds[f.band_label][1] <= upper]
         weighted = sum(f.mean_f1 * f.n for f in members) / sum(f.n for f in members)
         assert abs(agg.mean_f1 - weighted) < 1e-9
 

@@ -12,7 +12,6 @@ def test_parse_full_story():
     assert story.role == "teacher"
     assert story.goal == "to grade quizzes"
     assert story.benefit == "I save time"
-    assert story.warnings == ()
 
 
 def test_parse_missing_benefit_flags_warning():
@@ -20,20 +19,18 @@ def test_parse_missing_benefit_flags_warning():
     assert story.role == "admin"
     assert story.goal == "to reset passwords"
     assert story.benefit is None
-    assert story.warnings == ("benefit clause missing",)
+
+
+def test_parse_finds_a_story_between_other_lines():
+    text = "  noise before\nAs a clerk, I want receipts filed so that audits pass.\nnoise after"
+    story = parse_story(text)
+    assert story.role == "clerk"
+    assert story.benefit == "audits pass"
 
 
 def test_parse_no_match_is_error():
     with pytest.raises(DataError, match="^no user story clause found$"):
         parse_story("This function sorts integers.")
-
-
-def test_parse_keeps_raw_text_verbatim():
-    text = "  noise before\nAs a clerk, I want receipts filed so that audits pass.\nnoise after"
-    story = parse_story(text)
-    assert story.raw_text == text
-    assert story.role == "clerk"
-    assert story.benefit == "audits pass"
 
 
 def test_parse_first_of_multiple_stories():
@@ -44,7 +41,6 @@ def test_parse_first_of_multiple_stories():
     story = parse_story(text)
     assert story.role == "cook"
     assert story.benefit == "prep is faster"
-    assert story.raw_text == text
     both = parse_stories(text)
     assert [s.role for s in both] == ["cook", "waiter"]
     assert both[1].goal == "orders queued"
@@ -55,9 +51,9 @@ def test_parse_stories_empty_when_no_match():
 
 
 def test_canonical_text_with_and_without_benefit():
-    full = UserStory(role="teacher", goal="to grade quizzes", benefit="I save time", raw_text="")
+    full = UserStory(role="teacher", goal="to grade quizzes", benefit="I save time")
     assert canonical_text(full) == "As a teacher, I want to grade quizzes so that I save time."
-    short = UserStory(role="admin", goal="to reset passwords", benefit=None, raw_text="")
+    short = UserStory(role="admin", goal="to reset passwords", benefit=None)
     assert canonical_text(short) == "As a admin, I want to reset passwords."
     assert "so that" not in canonical_text(short)
 
@@ -73,9 +69,7 @@ def test_round_trip_teacher_story():
 
 
 def test_round_trip_comma_inside_role():
-    story = UserStory(
-        role="teacher, newly hired", goal="to grade quizzes", benefit="I settle in", raw_text=""
-    )
+    story = UserStory(role="teacher, newly hired", goal="to grade quizzes", benefit="I settle in")
     reparsed = parse_story(canonical_text(story))
     assert reparsed.role == "teacher, newly hired"
     assert reparsed.goal == "to grade quizzes"
@@ -84,9 +78,9 @@ def test_round_trip_comma_inside_role():
 
 def test_story_requires_role_and_goal():
     with pytest.raises(Exception):
-        UserStory(role="", goal="g", benefit=None, raw_text="")
+        UserStory(role="", goal="g", benefit=None)
     with pytest.raises(Exception):
-        UserStory(role="r", goal="", benefit=None, raw_text="")
+        UserStory(role="r", goal="", benefit=None)
 
 
 _field_text = st.text(
@@ -103,7 +97,7 @@ _field_text = st.text(
 
 @given(role=_field_text, goal=_field_text, benefit=st.one_of(st.none(), _field_text))
 def test_parse_inverts_canonical(role, goal, benefit):
-    story = UserStory(role=role, goal=goal, benefit=benefit, raw_text="")
+    story = UserStory(role=role, goal=goal, benefit=benefit)
     reparsed = parse_story(canonical_text(story))
     assert reparsed.role == role
     assert reparsed.goal == goal
